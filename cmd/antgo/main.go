@@ -41,7 +41,7 @@ func main() {
 	hu := flag.Bool("hu", true, "run offline HU value numbering")
 	ovs := flag.Bool("ovs", true, "run offline variable substitution")
 	workers := flag.Int("workers", 0, "parallel propagation workers (0 or 1 = sequential)")
-	async := flag.Bool("async", false, "use asynchronous owner-sharded propagation instead of bulk-synchronous rounds")
+	async := flag.Bool("async", false, "run the asynchronous owner-sharded engine even below 2 workers, with one owner")
 	timeout := flag.Duration("timeout", 0, "abort the solve after this duration")
 	callgraph := flag.Bool("callgraph", false, "print the resolved call graph")
 	modref := flag.Bool("modref", false, "print MOD/REF side-effect summaries")

@@ -52,7 +52,7 @@ func main() {
 	hu := flag.Bool("hu", false, "run offline HU value numbering before solving (updates replay)")
 	diff := flag.Bool("diff", false, "enable difference propagation")
 	workers := flag.Int("workers", 0, "parallel propagation workers (disables incremental resume)")
-	async := flag.Bool("async", false, "use asynchronous owner-sharded propagation (disables incremental resume)")
+	async := flag.Bool("async", false, "run the asynchronous owner-sharded engine even below 2 workers, with one owner (disables incremental resume)")
 	memoFlag := flag.Bool("memo", false, "memoize repeated unions, diffs and offset-derefs on canonical set ids (same solution)")
 	flag.Parse()
 

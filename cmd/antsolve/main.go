@@ -14,10 +14,10 @@
 // constraints are generated by the Go front end (docs/GOFRONTEND.md). With -print the full solution is dumped (one line per
 // variable with a non-empty points-to set); -var restricts output to one
 // variable by name. -workers ≥ 2 enables parallel propagation for the
-// naive and lcd solvers; -async switches the parallel engine from
-// bulk-synchronous rounds to asynchronous owner-sharded propagation with
-// token-ring termination (same solution, no round barrier); -timeout
-// aborts a runaway solve (exit status 1).
+// naive and lcd solvers: asynchronous owner-sharded propagation with
+// token-ring termination, one owner goroutine per worker (same solution);
+// -async runs that engine even at -workers 0 or 1, with one owner;
+// -timeout aborts a runaway solve (exit status 1).
 //
 // -phases prints the per-phase wall-clock breakdown recorded by the
 // metrics registry (graph build, cycle detection, propagation, ...).
@@ -45,8 +45,8 @@ func main() {
 	hu := flag.Bool("hu", false, "run offline HU value numbering (union-evaluating, implies running after -hvn when both set)")
 	ovs := flag.Bool("ovs", false, "run offline variable substitution first (after -hvn/-hu)")
 	repr := flag.String("pts", "bitmap", "points-to representation: bitmap or bdd")
-	workers := flag.Int("workers", 0, "parallel propagation workers for naive/lcd (0 or 1 = sequential)")
-	async := flag.Bool("async", false, "use asynchronous owner-sharded propagation instead of bulk-synchronous rounds (naive/lcd with bitmap sets)")
+	workers := flag.Int("workers", 0, "owner goroutines of the asynchronous parallel engine for naive/lcd (0 or 1 = sequential)")
+	async := flag.Bool("async", false, "run the asynchronous owner-sharded engine even below 2 workers, with one owner (naive/lcd with bitmap sets)")
 	memoFlag := flag.Bool("memo", false, "memoize repeated unions, diffs and offset-derefs on canonical set ids (same solution; see Options.Memo)")
 	timeout := flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
 	stats := flag.Bool("stats", false, "print solver cost counters")

@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "linux", "profile: "+strings.Join(antgrass.WorkloadNames(), ", "))
+	bench := flag.String("bench", "linux", "profile: "+strings.Join(workloadNames(), ", "))
 	scale := flag.Float64("scale", 0.1, "constraint-count scale (1.0 = paper size)")
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
@@ -43,6 +43,15 @@ func main() {
 	na, nc, nl, ns := prog.Counts()
 	fmt.Fprintf(os.Stderr, "antsynth: %s@%.3g: %d vars, %d constraints (%d addr, %d copy, %d load, %d store)\n",
 		*bench, *scale, prog.NumVars, len(prog.Constraints), na, nc, nl, ns)
+}
+
+// workloadNames lists the profile names in Table 2 order.
+func workloadNames() []string {
+	var names []string
+	for _, w := range antgrass.Workloads() {
+		names = append(names, w.Name)
+	}
+	return names
 }
 
 func fatal(err error) {

@@ -15,30 +15,25 @@ import (
 
 // MemoConfig is one solver configuration of the memo sweep. Unlike AlgoID
 // it carries the engine knobs the memo layer specializes on: difference
-// propagation (the sequential diff-memo path), worker count (the owner
-// shards) and async (the owner-goroutine shards).
+// propagation (the sequential diff-memo path) and worker count (the async
+// engine's owner shards).
 type MemoConfig struct {
 	Name    string
 	Alg     core.Algorithm
 	HCD     bool
 	Diff    bool
 	Workers int
-	Async   bool
 }
 
 // MemoConfigs are the configurations the memo sweep measures: the lcd and
-// ht families the tentpole targets (the sequential memo table), plus the
-// async lcd engine (the owner-local shards, which see the same delta
-// payloads redelivered across mailbox batches). The bulk-synchronous
-// engine's shard is deliberately absent: its per-round destination-sharded
-// deltas are nearly always fresh, so its hit rate is structurally near
-// zero and would only feed noise into benchdiff's hit-rate floor — the
-// oracle matrix and check.sh still pin its correctness.
+// ht families (the sequential memo table), plus lcd on the async engine at
+// 4 owners (the owner-local shards, which see the same delta payloads
+// redelivered across mailbox batches).
 var MemoConfigs = []MemoConfig{
 	{Name: "lcd+hcd", Alg: core.LCD, HCD: true},
 	{Name: "lcd+hcd+diff", Alg: core.LCD, HCD: true, Diff: true},
 	{Name: "ht", Alg: core.HT},
-	{Name: "lcd+hcd", Alg: core.LCD, HCD: true, Workers: 4, Async: true},
+	{Name: "lcd+hcd", Alg: core.LCD, HCD: true, Workers: 4},
 }
 
 // MemoRun is one (workload, configuration) cell of the memo sweep: the
@@ -49,7 +44,6 @@ type MemoRun struct {
 	Bench   string `json:"bench"`
 	Algo    string `json:"algo"`
 	Workers int    `json:"workers"`
-	Async   bool   `json:"async,omitempty"`
 	// PlainSeconds / MemoSeconds are the wall-clock times of the two
 	// solves; Speedup is PlainSeconds/MemoSeconds (above 1.0 means the
 	// memoized solve was faster).
@@ -75,11 +69,7 @@ type MemoRun struct {
 
 // Key identifies a memo cell for cross-report matching.
 func (r MemoRun) Key() string {
-	suffix := ""
-	if r.Async {
-		suffix = "+async"
-	}
-	return fmt.Sprintf("%s/%s/w%d%s/memo", r.Bench, r.Algo, r.Workers, suffix)
+	return fmt.Sprintf("%s/%s/w%d/memo", r.Bench, r.Algo, r.Workers)
 }
 
 // MemoRuns measures the memo sweep: MemoConfigs over the benchmark set
@@ -107,7 +97,7 @@ func (h *Harness) MemoRuns(benches []string) []MemoRun {
 
 // memoRun measures one plain-vs-memo pair.
 func (h *Harness) memoRun(bench string, prog *constraint.Program, c MemoConfig, table *hcd.Result) MemoRun {
-	run := MemoRun{Bench: bench, Algo: c.Name, Workers: c.Workers, Async: c.Async}
+	run := MemoRun{Bench: bench, Algo: c.Name, Workers: c.Workers}
 	opts := core.Options{
 		Algorithm:    c.Alg,
 		WithHCD:      c.HCD,
@@ -115,7 +105,6 @@ func (h *Harness) memoRun(bench string, prog *constraint.Program, c MemoConfig, 
 		DiffProp:     c.Diff,
 		BDDPoolNodes: h.PoolNodes,
 		Workers:      c.Workers,
-		Async:        c.Async,
 	}
 
 	var ms0, ms1 runtime.MemStats
@@ -186,18 +175,36 @@ func (h *Harness) MemoTable(w io.Writer, runs []MemoRun) {
 			fmt.Fprintf(tw, "%s\t%s\tw%d\tERROR: %s\n", r.Bench, r.Algo, r.Workers, r.Error)
 			continue
 		}
-		name := r.Algo
-		if r.Async {
-			name += "+async"
-		}
 		allocDelta := 0.0
 		if r.PlainAllocs > 0 {
 			allocDelta = (float64(r.MemoAllocs) - float64(r.PlainAllocs)) / float64(r.PlainAllocs) * 100
 		}
 		fmt.Fprintf(tw, "%s\t%s\tw%d\t%.3fs\t%.3fs\t%.2fx\t%.0f%%\t%+.1f%%\t%.1f MB\n",
-			r.Bench, name, r.Workers, r.PlainSeconds, r.MemoSeconds, r.Speedup,
+			r.Bench, r.Algo, r.Workers, r.PlainSeconds, r.MemoSeconds, r.Speedup,
 			r.HitRate*100, allocDelta, float64(r.MemoBytes)/(1<<20))
 	}
 	tw.Flush()
 	fmt.Fprintln(w)
+}
+
+// sameSolution reports the first points-to disagreement between two runs,
+// or "" when the solutions are identical.
+func sameSolution(nVars int, a, b *core.Result) string {
+	for v := uint32(0); v < uint32(nVars); v++ {
+		sa, sb := a.PointsTo(v), b.PointsTo(v)
+		la, lb := 0, 0
+		if sa != nil {
+			la = sa.Len()
+		}
+		if sb != nil {
+			lb = sb.Len()
+		}
+		if la != lb {
+			return fmt.Sprintf("|pts(v%d)|: %d vs %d", v, la, lb)
+		}
+		if la > 0 && !sa.Equal(sb) {
+			return fmt.Sprintf("pts(v%d) differs", v)
+		}
+	}
+	return ""
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // ParallelAlgos are the configurations the parallel engine accelerates,
-// in table row order: the two wave-capable solvers plus the paper's
+// in table row order: the two parallel-capable solvers plus the paper's
 // headline combination.
 var ParallelAlgos = []AlgoID{
 	{Name: "naive", Alg: core.Naive},
@@ -25,14 +25,15 @@ var ParallelAlgos = []AlgoID{
 var ParallelBenches = []string{"emacs", "wine"}
 
 // ParallelTable prints a parallel-vs-sequential wall-clock comparison for
-// the wave engine at the given worker count: per (workload, algorithm),
-// the sequential solve time, the parallel solve time, and the speedup
-// (sequential / parallel; above 1.0 means the parallel run was faster).
+// the async owner engine at the given worker count: per (workload,
+// algorithm), the sequential solve time, the parallel solve time, and the
+// speedup (sequential / parallel; above 1.0 means the parallel run was
+// faster).
 // Both runs solve the same generated program, and the solutions are
 // cross-checked cell by cell — a mismatch aborts the process, since a
 // benchmark of wrong answers is worse than no benchmark.
 func (h *Harness) ParallelTable(w io.Writer, workers int) {
-	fmt.Fprintf(w, "Parallel wave propagation vs sequential (workers=%d, scale=%g)\n", workers, h.Scale)
+	fmt.Fprintf(w, "Parallel owner-computes propagation vs sequential (workers=%d, scale=%g)\n", workers, h.Scale)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "\t\tsequential\tparallel\tspeedup\n")
 	for _, p := range h.Profiles() {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -392,5 +393,36 @@ func TestServeLoadRoundTrip(t *testing.T) {
 	}
 	if len(got.ServeLoad) != 1 || got.ServeLoad[0].QueryP99Seconds != 9e-6 || got.ServeLoad[0].Resumed != 4 {
 		t.Fatalf("round trip lost serve_load: %+v", got.ServeLoad)
+	}
+}
+
+// TestReadBaselineWithRetiredSections loads BENCH_10.json, a committed
+// baseline that still carries the retired BSP-vs-async "async" section:
+// it must parse, and diffing it against itself must match every run and
+// pass every gate, so old baselines stay usable with benchdiff.
+func TestReadBaselineWithRetiredSections(t *testing.T) {
+	f, err := os.Open("../../BENCH_10.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := ReadReport(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Runs) == 0 || len(rep.Memo) == 0 || len(rep.Offline) == 0 {
+		t.Fatalf("baseline lost sections on read: %d runs, %d memo, %d offline",
+			len(rep.Runs), len(rep.Memo), len(rep.Offline))
+	}
+	d := DiffReports(rep, rep, DiffOptions{ThresholdPercent: 75, MinSeconds: 0.05,
+		AllocThresholdPercent: 25, MemThresholdPercent: 60, OfflineThresholdPercent: 10,
+		GoThresholdPercent: 50, MemoThresholdPercent: 20})
+	if len(d.Entries) != len(rep.Runs) {
+		t.Fatalf("self-diff matched %d of %d runs", len(d.Entries), len(rep.Runs))
+	}
+	if d.Failed() {
+		var buf bytes.Buffer
+		d.Print(&buf)
+		t.Fatalf("self-diff of BENCH_10.json failed:\n%s", buf.String())
 	}
 }

@@ -10,11 +10,12 @@ import (
 	"antgrass/internal/pts"
 )
 
-// TestAsyncMatchesOracle cross-checks the asynchronous owner-computes
-// engine against the map-based reference fixpoint on a few hundred random
-// programs, for both async-capable algorithms, with and without HCD,
-// across owner counts — including the single-owner configuration, which
-// still runs the full mailbox/token machinery.
+// TestAsyncMatchesOracle cross-checks Options.Async at Workers ≤ 1 — the
+// single-owner configuration, which still runs the full mailbox/token
+// machinery — against the map-based reference fixpoint on a few hundred
+// random programs, for both async-capable algorithms, with and without
+// HCD. Larger owner counts are TestParallelMatchesOracle's: Workers ≥ 2
+// selects the same engine without Async.
 func TestAsyncMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	trials := 150
@@ -29,7 +30,7 @@ func TestAsyncMatchesOracle(t *testing.T) {
 		want := referenceSolve(p)
 		for _, alg := range []Algorithm{Naive, LCD} {
 			for _, hcd := range []bool{false, true} {
-				for _, wk := range []int{1, 2, 4} {
+				for _, wk := range []int{0, 1} {
 					r, err := Solve(p, Options{Algorithm: alg, WithHCD: hcd, Workers: wk, Async: true})
 					if err != nil {
 						t.Fatalf("i=%d alg=%v hcd=%v wk=%d: %v", i, alg, hcd, wk, err)
@@ -51,9 +52,10 @@ func TestAsyncMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestAsyncMatchesSequentialLarge pits the async engine against the
-// sequential solver on cycle-rich inputs big enough for sustained message
-// traffic and mid-solve pauses, across owner counts.
+// TestAsyncMatchesSequentialLarge pits the single-owner async engine
+// against the sequential solver on cycle-rich inputs big enough for
+// sustained message traffic and mid-solve pauses (multi-owner runs are
+// TestParallelMatchesSequentialLarge's).
 func TestAsyncMatchesSequentialLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 3; trial++ {
@@ -67,7 +69,7 @@ func TestAsyncMatchesSequentialLarge(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, wk := range []int{2, 4, 8} {
+				for _, wk := range []int{0, 1} {
 					r, err := Solve(p, Options{Algorithm: alg, WithHCD: hcd, Workers: wk, Async: true})
 					if err != nil {
 						t.Fatalf("trial=%d alg=%v hcd=%v wk=%d: %v", trial, alg, hcd, wk, err)
@@ -138,7 +140,8 @@ func TestAsyncUseGating(t *testing.T) {
 		pts     pts.Factory
 		want    bool
 	}{
-		{false, 8, bitmapF, false},
+		{false, 0, bitmapF, false},
+		{false, 1, bitmapF, false},
 		{true, 0, bitmapF, true},
 		{true, 1, bitmapF, true},
 		{true, 8, bitmapF, true},
@@ -154,8 +157,9 @@ func TestAsyncUseGating(t *testing.T) {
 
 // TestAsyncStats checks the engine's accounting reaches the Result: the
 // owner-private Propagations/EdgesAdded counters must be folded in, Rounds
-// must report token laps, and the solution must match the sequential
-// solver even though the counters are schedule-dependent.
+// must report token laps, Workers must name the owner count that ran (one
+// when Async is set with Workers 0), and the solution must match the
+// sequential solver even though the counters are schedule-dependent.
 func TestAsyncStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	p := biggerRandomProgram(rng, 300, 1200)
@@ -163,26 +167,28 @@ func TestAsyncStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, err := Solve(p, Options{Algorithm: LCD, Workers: 4, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if async.Stats.Propagations <= 0 || async.Stats.EdgesAdded <= 0 {
-		t.Fatalf("async counters not accumulated: %+v", async.Stats)
-	}
-	if async.Stats.Rounds <= 0 {
-		t.Fatalf("async run reported no token laps: %+v", async.Stats)
-	}
-	if async.Stats.Workers != 4 {
-		t.Fatalf("Stats.Workers = %d, want 4", async.Stats.Workers)
-	}
-	for v := uint32(0); v < uint32(p.NumVars); v++ {
-		a, b := async.PointsToSlice(v), seq.PointsToSlice(v)
-		if len(a) == 0 && len(b) == 0 {
-			continue
+	for _, tc := range []struct{ workers, owners int }{{0, 1}, {4, 4}} {
+		async, err := Solve(p, Options{Algorithm: LCD, Workers: tc.workers, Async: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("pts(v%d) differs between sequential and async", v)
+		if async.Stats.Propagations <= 0 || async.Stats.EdgesAdded <= 0 {
+			t.Fatalf("workers=%d: async counters not accumulated: %+v", tc.workers, async.Stats)
+		}
+		if async.Stats.Rounds <= 0 {
+			t.Fatalf("workers=%d: async run reported no token laps: %+v", tc.workers, async.Stats)
+		}
+		if async.Stats.Workers != tc.owners {
+			t.Fatalf("workers=%d: Stats.Workers = %d, want %d owners", tc.workers, async.Stats.Workers, tc.owners)
+		}
+		for v := uint32(0); v < uint32(p.NumVars); v++ {
+			a, b := async.PointsToSlice(v), seq.PointsToSlice(v)
+			if len(a) == 0 && len(b) == 0 {
+				continue
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("workers=%d: pts(v%d) differs between sequential and async", tc.workers, v)
+			}
 		}
 	}
 }

@@ -8,13 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"antgrass/internal/metrics"
 	"antgrass/internal/pts"
 )
 
-// TestParallelMatchesOracle cross-checks the bulk-synchronous parallel
-// engine against the map-based reference fixpoint on a few hundred random
-// programs, for both parallel-capable algorithms, with and without HCD,
-// across worker counts.
+// TestParallelMatchesOracle cross-checks the parallel engine Workers ≥ 2
+// selects (the async owner engine) against the map-based reference
+// fixpoint on a few hundred random programs, for both parallel-capable
+// algorithms, with and without HCD, across owner counts.
 func TestParallelMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	trials := 200
@@ -114,7 +115,7 @@ func TestSolveContextCancellation(t *testing.T) {
 }
 
 // TestSolveContextCancelMidSolve cancels from a Progress callback, proving
-// the solvers observe cancellation at round boundaries, not only up front.
+// the parallel engine observes cancellation mid-solve, not only up front.
 func TestSolveContextCancelMidSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := biggerRandomProgram(rng, 400, 1600)
@@ -141,7 +142,8 @@ func TestSolveContextCancelMidSolve(t *testing.T) {
 }
 
 // TestProgressEvents checks the callback fires with sane, monotone fields
-// under the parallel engine.
+// under the parallel engine: one event per token lap, each naming the
+// owner count.
 func TestProgressEvents(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := biggerRandomProgram(rng, 300, 1200)
@@ -158,6 +160,9 @@ func TestProgressEvents(t *testing.T) {
 		if ev.Round != i+1 {
 			t.Fatalf("event %d has round %d", i, ev.Round)
 		}
+		if ev.Workers != 4 {
+			t.Fatalf("event %d reports %d owners, want 4", i, ev.Workers)
+		}
 		if ev.WorklistLen < 0 || ev.NodesCollapsed < 0 || ev.Unions < 0 {
 			t.Fatalf("negative fields in %+v", ev)
 		}
@@ -170,9 +175,10 @@ func TestProgressEvents(t *testing.T) {
 	}
 }
 
-// TestUseParallelGating pins down which configurations dispatch to the
-// parallel engine: bitmap-backed sets only, and only for Workers ≥ 2. (The
-// Naive/LCD restriction is enforced by SolveContext's dispatch switch.)
+// TestUseParallelGating pins down which worker counts dispatch to the
+// parallel (async owner) engine without Options.Async: bitmap-backed sets
+// only, and only for Workers ≥ 2. (The Naive/LCD restriction is enforced
+// by SolveContext's dispatch switch.)
 func TestUseParallelGating(t *testing.T) {
 	bitmapF := pts.NewBitmapFactory()
 	bddF := pts.NewBDDFactory(16, 0)
@@ -188,15 +194,15 @@ func TestUseParallelGating(t *testing.T) {
 		{8, bddF, false},
 	} {
 		opts := Options{Workers: tc.workers, Pts: tc.pts}
-		if got := useParallel(opts); got != tc.want {
-			t.Errorf("useParallel(workers=%d, pts=%s) = %v, want %v",
+		if got := useAsync(opts); got != tc.want {
+			t.Errorf("useAsync(workers=%d, pts=%s) = %v, want %v",
 				tc.workers, tc.pts.Name(), got, tc.want)
 		}
 	}
 }
 
-// TestParallelWorkersStats checks counters survive the per-worker
-// accumulate-then-merge path: a parallel run's Propagations and EdgesAdded
+// TestParallelWorkersStats checks counters survive the per-owner
+// accumulate-then-sum path: a parallel run's Propagations and EdgesAdded
 // must be positive on a non-trivial input and the solution identical to
 // sequential even when counters differ.
 func TestParallelWorkersStats(t *testing.T) {
@@ -221,5 +227,33 @@ func TestParallelWorkersStats(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("pts(v%d) differs between sequential and parallel", v)
 		}
+	}
+}
+
+// TestWorkersRunOwnerEngine pins the dispatch: Workers ≥ 2 without
+// Options.Async runs the async owner engine, which reports its mailbox
+// traffic and has no merge phase.
+func TestWorkersRunOwnerEngine(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	p := biggerRandomProgram(rng, 300, 1200)
+	reg := metrics.New()
+	r, err := Solve(p, Options{Algorithm: LCD, Workers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == "async.messages" {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("Workers: 2 did not record async.messages; the owner engine did not run")
+	}
+	if got := reg.PhaseSeconds(PhaseMerge); got != 0 {
+		t.Fatalf("%s = %gs, want 0: the owner engine has no merge phase", PhaseMerge, got)
+	}
+	if r.Stats.Workers != 2 {
+		t.Fatalf("Stats.Workers = %d, want 2", r.Stats.Workers)
 	}
 }

@@ -96,49 +96,51 @@ type Options struct {
 	// solver and BDD-backed points-to sets (0 picks a default). It
 	// mirrors the paper's fixed BuDDy pool sizing (§5.2).
 	BDDPoolNodes int
-	// Workers selects bulk-synchronous parallel propagation when ≥ 2.
-	// It is honored by the Naive and LCD solvers with bitmap points-to
-	// sets (the configurations whose propagation discipline is a pure
-	// monotone fixpoint over independent nodes); every other
-	// configuration runs sequentially regardless. 0 and 1 mean
-	// sequential. The solution is identical for every value.
+	// Workers selects parallel propagation when ≥ 2: the asynchronous
+	// owner-computes engine (docs/ALGORITHMS.md §Asynchronous
+	// propagation) runs with Workers owner goroutines. It is honored by
+	// the Naive and LCD solvers with bitmap points-to sets (the
+	// configurations whose propagation discipline is a pure monotone
+	// fixpoint over independent nodes); every other configuration runs
+	// sequentially regardless. 0 and 1 mean sequential unless Async is
+	// set. The solution is identical for every value.
 	Workers int
 	// Memo enables operation-level memoization (internal/memo): the
 	// union/diff/offset-deref kernels are answered from a cache keyed on
 	// canonical interned set ids when the same operation recurs, with
 	// results delivered as copy-on-write shares. Honored by the
-	// sequential Naive/LCD/HT solvers (full memo table) and by the BSP
-	// and async engines (owner-local delta-subsumption shards); other
-	// configurations — and non-COW representations (BDD, bitmap-plain) —
-	// ignore it. The solution is bit-identical either way; only the work
-	// done to reach it changes. Cache effectiveness is exported as the
-	// memo_hits / memo_misses / memo_evictions / memo_bytes counters.
+	// sequential Naive/LCD/HT solvers (full memo table) and by the async
+	// engine (owner-local delta-subsumption shards); other configurations
+	// — and non-COW representations (BDD, bitmap-plain) — ignore it. The
+	// solution is bit-identical either way; only the work done to reach it
+	// changes. Cache effectiveness is exported as the memo_hits /
+	// memo_misses / memo_evictions / memo_bytes counters.
 	Memo bool
-	// Async switches the parallel engine from bulk-synchronous rounds to
-	// asynchronous owner-computes propagation with token-ring termination
-	// (docs/ALGORITHMS.md §Asynchronous propagation). It is honored under
-	// the same conditions as Workers — Naive and LCD with bitmap points-to
-	// sets — and uses max(Workers, 1) owner goroutines (unlike the BSP
-	// engine, one async owner is still a meaningful configuration: the
-	// engine machinery runs, it just doesn't overlap). The solution is
-	// identical to every other engine's.
+	// Async selects the asynchronous owner-computes engine with
+	// max(Workers, 1) owner goroutines. Workers ≥ 2 selects that engine
+	// already, so Async matters only when Workers ≤ 1: one owner is still
+	// a meaningful configuration — the engine's propagation discipline
+	// runs, it just doesn't overlap. It is honored under the same
+	// conditions as Workers — Naive and LCD with bitmap points-to sets.
+	// The solution is identical to every other engine's.
 	Async bool
-	// Progress, when non-nil, is invoked at round boundaries of the
-	// parallel solver and periodically by the sequential worklist
+	// Progress, when non-nil, is invoked after every token lap of the
+	// async engine and periodically by the sequential worklist
 	// solvers, giving callers an observability hook without log
 	// scraping. The callback runs on the solving goroutine and must be
 	// fast; it must not call back into the solver.
 	Progress func(ProgressEvent)
-	// Ctx, when non-nil, is checked cooperatively at round boundaries
-	// (parallel) or every few thousand worklist pops (sequential); a
-	// canceled context aborts the solve with a wrapped ctx.Err(). Set
+	// Ctx, when non-nil, is checked cooperatively — by the async engine
+	// every few thousand owner steps and whenever an owner or the arbiter
+	// waits, by the sequential solvers every few thousand worklist pops;
+	// a canceled context aborts the solve with a wrapped ctx.Err(). Set
 	// by SolveContext; plumbed through Options so the blq package's
 	// solver can honor it too.
 	Ctx context.Context
 	// Metrics, when non-nil, receives per-phase timing spans
 	// (graph.build, solve.online and its sub-phases, finalize, and
 	// hcd.offline when the offline pass runs inside this call),
-	// peak-memory samples at round boundaries, and the final Stats
+	// peak-memory samples at token laps, and the final Stats
 	// counters. A nil registry disables all instrumentation at the cost
 	// of a nil check — the hot paths never touch the clock or the
 	// registry when it is nil.
@@ -146,46 +148,34 @@ type Options struct {
 }
 
 // ProgressEvent is a snapshot of solver progress delivered to
-// Options.Progress at a round boundary.
+// Options.Progress.
 type ProgressEvent struct {
-	// Round is the 1-based bulk-synchronous round number (for the
-	// parallel solver) or the number of progress intervals elapsed (for
-	// sequential solvers).
+	// Round is the 1-based token-lap number (for the async engine) or
+	// the number of progress intervals elapsed (for sequential solvers).
 	Round int
-	// WorklistLen is the number of nodes pending in the worklist or
-	// next-round frontier.
+	// WorklistLen is the number of nodes pending in the sequential
+	// solvers' worklist (0 for async events: owner queues are private).
 	WorklistLen int
 	// NodesCollapsed and Unions are the cumulative Stats.NodesCollapsed
 	// and Stats.Propagations counters at the time of the event.
 	NodesCollapsed int64
 	Unions         int64
-	// Workers is the number of compute workers the parallel engine
-	// engaged for this round (0 for sequential-solver events). It can
-	// be smaller than Options.Workers when the frontier is too short to
-	// fill every worker's deque with chunks.
+	// Workers is the number of owner goroutines the async engine runs
+	// with (0 for sequential-solver events).
 	Workers int
-	// ShardWork, for parallel-wave events, holds each worker's
-	// propagation (delta-computation) count for the round just merged,
-	// in worker order, counting stolen chunks toward the thief. The
-	// spread of these values is the round's utilization signal:
-	// near-equal counts mean the cost-model chunking plus work stealing
-	// balanced the round. Nil for sequential events. The slice is
-	// owned by the callback and remains valid after it returns.
-	ShardWork []int64
 }
 
 // Stats records the cost counters that §5.3 of the paper analyzes, plus
 // timing and analytic memory accounting.
 //
-// Under parallel solving (Options.Workers ≥ 2) every counter is still an
-// exact count of the operations this run performed — workers accumulate
-// into private counters that the barrier merge sums, never into shared
-// ints — but the counts themselves are schedule-dependent: Propagations,
-// EdgesAdded, CycleChecks, NodesSearched, NodesCollapsed, HCDCollapses
-// and MemBytes all depend on the order work is discovered (LCD's cycle
-// trigger is heuristic), so treat them as approximate when comparing runs
-// with different worker counts. Only the points-to solution itself is
-// schedule-independent.
+// Under the async engine every counter is still an exact count of the
+// operations this run performed — owners accumulate into private counters
+// that the engine epilogue sums, never into shared ints — but the counts
+// themselves are schedule-dependent: Propagations, EdgesAdded,
+// CycleChecks, NodesSearched, NodesCollapsed, HCDCollapses and MemBytes
+// all depend on the order work is discovered (LCD's cycle trigger is
+// heuristic), so treat them as approximate when comparing runs. Only the
+// points-to solution itself is schedule-independent.
 type Stats struct {
 	// NodesCollapsed is the number of constraint-graph nodes absorbed
 	// into another node by cycle collapsing.
@@ -203,13 +193,13 @@ type Stats struct {
 	CycleChecks int64
 	// HCDCollapses counts unions performed by the HCD online rule.
 	HCDCollapses int64
-	// Rounds counts solver iterations: bulk-synchronous waves for the
-	// parallel engine, fixpoint rounds for HT and BLQ, whole-graph sweep
-	// rounds for PKH. The purely worklist-driven sequential solvers
-	// (Naive, LCD, PKW) have no round structure and report 0.
+	// Rounds counts solver iterations: token laps for the async engine,
+	// fixpoint rounds for HT and BLQ, whole-graph sweep rounds for PKH.
+	// The purely worklist-driven sequential solvers (Naive, LCD, PKW)
+	// have no round structure and report 0.
 	Rounds int64
-	// Workers is the worker count the parallel wave engine ran with
-	// (0 = the solve was sequential).
+	// Workers is the owner count the async engine ran with (0 = the
+	// solve was sequential).
 	Workers int
 	// OfflineDuration is the HCD offline analysis time, reported
 	// separately as in Table 3.
@@ -271,7 +261,7 @@ func Solve(p *constraint.Program, opts Options) (*Result, error) {
 }
 
 // SolveContext runs the selected algorithm on p under ctx. Cancellation is
-// cooperative — checked at round boundaries by the parallel solver and
+// cooperative — checked every few thousand steps by the async engine and
 // every few thousand worklist pops by the sequential ones — and returns an
 // error wrapping ctx.Err(), never a partial Result.
 func SolveContext(ctx context.Context, p *constraint.Program, opts Options) (*Result, error) {
@@ -307,29 +297,16 @@ func SolveContext(ctx context.Context, p *constraint.Program, opts Options) (*Re
 	if opts.WithHCD && table != nil {
 		g.stats.OfflineDuration = table.Duration
 	}
-	parallel := false
+	parallel := (opts.Algorithm == Naive || opts.Algorithm == LCD) && useAsync(opts)
 	start := time.Now()
 	var err error
 	switch opts.Algorithm {
-	case Naive:
-		if useAsync(opts) {
-			parallel = true
-			err = solveAsync(ctx, g, opts, false)
-		} else if useParallel(opts) {
-			parallel = true
-			err = solveParallel(ctx, g, opts, false)
+	case Naive, LCD:
+		lazy := opts.Algorithm == LCD
+		if parallel {
+			err = solveAsync(ctx, g, opts, lazy)
 		} else {
-			err = solveBasic(ctx, g, opts, false)
-		}
-	case LCD:
-		if useAsync(opts) {
-			parallel = true
-			err = solveAsync(ctx, g, opts, true)
-		} else if useParallel(opts) {
-			parallel = true
-			err = solveParallel(ctx, g, opts, true)
-		} else {
-			err = solveBasic(ctx, g, opts, true)
+			err = solveBasic(ctx, g, opts, lazy)
 		}
 	case HT:
 		err = solveHT(ctx, g, opts)
@@ -344,9 +321,6 @@ func SolveContext(ctx context.Context, p *constraint.Program, opts Options) (*Re
 		return nil, err
 	}
 	online := time.Since(start)
-	if parallel {
-		g.stats.Workers = opts.Workers
-	}
 	g.recordOnlinePhases(online, parallel)
 	finalizeSpan := m.StartPhase(metrics.PhaseFinalize)
 	g.stats.SolveDuration = online
@@ -361,8 +335,11 @@ func SolveContext(ctx context.Context, p *constraint.Program, opts Options) (*Re
 	}
 	g.stats.MemBytes = g.memBytes()
 	res := NewResult(p, g.nodes, g.sets, *g.stats)
-	finalizeSpan.End()
+	// The closing peak sample stops the world, and under load that pause
+	// can rival a small solve; it stays inside finalize so the phases
+	// still partition the wall clock.
 	m.SampleMem()
+	finalizeSpan.End()
 	g.stats.Export(m)
 	g.exportAllocStats(m, opts.Pts)
 	g.exportMemoStats(m, opts)
@@ -409,9 +386,9 @@ func (g *graph) exportAllocStats(m *metrics.Registry, factory pts.Factory) {
 // recordOnlinePhases splits the online solve time into disjoint
 // sub-phases: cycle detection and the HCD online rule are accumulated by
 // the graph as they run; the remainder is propagation proper (reported as
-// solve.compute + solve.merge under parallel solving, where the compute
-// phase is separately timed). The sub-phases partition the online time
-// exactly, so a report's phase total tracks the wall clock.
+// solve.compute under the async engine, whose owners propagate
+// concurrently). The sub-phases partition the online time exactly, so a
+// report's phase total tracks the wall clock.
 func (g *graph) recordOnlinePhases(online time.Duration, parallel bool) {
 	m := g.metrics
 	if m == nil {
@@ -423,9 +400,7 @@ func (g *graph) recordOnlinePhases(online time.Duration, parallel bool) {
 	m.AddPhase(PhaseHCDOnline, hcdOn)
 	rest := online - cyc - hcdOn
 	if parallel {
-		compute := time.Duration(g.computeNS)
-		m.AddPhase(PhaseCompute, compute)
-		m.AddPhase(PhaseMerge, rest-compute)
+		m.AddPhase(PhaseCompute, rest)
 	} else {
 		m.AddPhase(PhasePropagate, rest)
 	}
@@ -434,8 +409,8 @@ func (g *graph) recordOnlinePhases(online time.Duration, parallel bool) {
 // Sub-phases of the online solve recorded in Options.Metrics. Together
 // with the shared metrics.Phase* names they partition a solve's wall
 // clock: wall ≈ graph.build + hcd.offline (when run in-call) +
-// solve.cycledetect + solve.hcd.online + (solve.propagate | solve.compute
-// + solve.merge) + finalize.
+// solve.cycledetect + solve.hcd.online + (solve.propagate | solve.compute)
+// + finalize.
 const (
 	// PhaseCycleDetect is time inside depth-first cycle searches and
 	// PKH's whole-graph sweeps.
@@ -445,11 +420,12 @@ const (
 	// PhasePropagate is sequential propagation: everything in the online
 	// solve that is not cycle detection or the HCD rule.
 	PhasePropagate = "solve.propagate"
-	// PhaseCompute is the parallel engine's lock-free compute phase
-	// (par.Round wall time, summed over rounds).
+	// PhaseCompute is the async engine's propagation: everything in the
+	// online solve that is not the arbiter's cycle detection or HCD rule.
 	PhaseCompute = "solve.compute"
-	// PhaseMerge is the parallel engine's sequential remainder:
-	// prologue, barrier merge and frontier construction.
+	// PhaseMerge is never recorded: the async engine has no merge phase.
+	// The name stays because report readers (perfbench) sum it into
+	// propagation time, reading it as zero.
 	PhaseMerge = "solve.merge"
 )
 
@@ -470,24 +446,14 @@ func (s *Stats) Export(m *metrics.Registry) {
 	m.SetCounter("mem_bytes", s.MemBytes)
 }
 
-// useParallel reports whether this configuration runs the bulk-synchronous
-// parallel engine: ≥ 2 workers, a Naive/LCD algorithm (checked by the
-// caller) and bitmap-backed points-to sets (the compute phase needs
-// lock-free read-only set operations that the BDD representation, with its
-// shared mutable node table, cannot provide).
-func useParallel(opts Options) bool {
-	name := opts.Pts.Name()
-	return opts.Workers >= 2 && (name == "bitmap" || name == "bitmap-plain")
-}
-
 // useAsync reports whether this configuration runs the asynchronous
-// owner-computes engine: Options.Async set, a Naive/LCD algorithm (checked
-// by the caller) and bitmap-backed points-to sets, for the same reason as
-// useParallel. Any worker count qualifies (1 means a single owner plus the
-// arbiter).
+// owner-computes engine: Options.Async or Workers ≥ 2, a Naive/LCD
+// algorithm (checked by the caller) and bitmap-backed points-to sets (the
+// owners need lock-free read-only set operations that the BDD
+// representation, with its shared mutable node table, cannot provide).
 func useAsync(opts Options) bool {
 	name := opts.Pts.Name()
-	return opts.Async && (name == "bitmap" || name == "bitmap-plain")
+	return (opts.Async || opts.Workers >= 2) && (name == "bitmap" || name == "bitmap-plain")
 }
 
 // ctxCheckInterval is how many worklist pops a sequential solver processes

@@ -19,9 +19,8 @@
 //   - Table serves the sequential solvers (basic/LCD worklist, HT), which
 //     own their factory outright: results are COW-shared and interned, so
 //     a hit makes the destination literally share the canonical backing.
-//   - Shard serves the parallel engines' per-owner appliers (the BSP
-//     destination-sharded merge and the async owner goroutines), where
-//     the factory's intern table and refcounts must not be touched —
+//   - Shard serves the async engine's owner goroutines, where the
+//     factory's intern table and refcounts must not be touched —
 //     sharing across owners would race on unsynchronized refcounts.
 //     A Shard hash-conses delta payloads into owner-owned storage and
 //     exploits solve-time monotonicity instead: once a payload has been

@@ -35,11 +35,11 @@ type Config struct {
 const matrixBDDPool = 1 << 12
 
 // matrixWorkers are the parallel worker counts exercised by the matrix.
-// The bulk-synchronous engine only engages for Naive/LCD with bitmap sets;
-// the counts bracket the interesting schedules (minimal contention,
-// moderate chunking, and more owner shards than a tiny frontier can
-// fill — at 8 workers most rounds leave some deques empty, so the
-// work-stealing path runs on nearly every round).
+// Workers ≥ 2 runs the async owner engine, which only engages for
+// Naive/LCD with bitmap sets; the counts bracket the interesting schedules
+// (minimal contention, moderate sharding, and more owners than a tiny
+// program can keep busy — at 8 owners most are idle most of the time, so
+// parking, waking and the token ring's passive path run constantly).
 var matrixWorkers = []int{2, 4, 8}
 
 // Matrix returns the full registered configuration set:
@@ -48,13 +48,12 @@ var matrixWorkers = []int{2, 4, 8}
 //   - the five algorithms (±hcd) again with the plain bitmap factory —
 //     pooling, copy-on-write sharing and dedup disabled — so the memory
 //     engine is differentially tested against its own ablation;
-//   - parallel worker counts for the configurations the wave engine
-//     accepts (Naive and LCD over bitmaps), with and without HCD, plus
-//     one parallel run over the plain factory;
-//   - the same worker counts again on the asynchronous owner-sharded
-//     engine (±async tiers: Naive/LCD × ±hcd × workers, one plain-factory
-//     run, and the HVN+HU offline ladder at each worker count), pinning
-//     the barrier-free engine bit-identical to every other configuration;
+//   - parallel worker counts for the configurations the async owner
+//     engine accepts (Naive and LCD over bitmaps), with and without HCD,
+//     plus one parallel run over the plain factory;
+//   - the single-owner async engine (Options.Async at one worker) for
+//     Naive and LCD, with and without HCD — the configuration Async
+//     still selects on its own;
 //   - difference propagation for the basic worklist solvers;
 //   - the BLQ relational solver, with and without HCD;
 //   - the offline pre-pass tiers (HVN, HU, HVN+HU, HVN+HU+OVS) over
@@ -63,10 +62,10 @@ var matrixWorkers = []int{2, 4, 8}
 //     so these cells pin the value-numbering equivalences against the
 //     unreduced configurations;
 //   - the operation-memoization tier (+memo): Naive/LCD ±hcd sequential
-//     and at 4 workers (BSP and async), HT ±hcd, difference propagation,
-//     the plain-factory fallback and the HVN+HU ladder, all with
-//     Options.Memo — memoization is a cache keyed on canonical set ids,
-//     so these cells pin it bit-identical to plain solving.
+//     and at 4 workers, HT ±hcd, difference propagation, the
+//     plain-factory fallback and the HVN+HU ladder, all with Options.Memo
+//     — memoization is a cache keyed on canonical set ids, so these cells
+//     pin it bit-identical to plain solving.
 //
 // Every configuration must compute the identical least fixpoint; Check
 // runs them in this order and reports the first that does not. To register
@@ -92,13 +91,12 @@ func Matrix() []Config {
 		for _, withHCD := range []bool{false, true} {
 			for _, w := range matrixWorkers {
 				out = append(out, coreConfig(alg, "bitmap", withHCD, w, false))
-				out = append(out, coreConfigAsync(alg, "bitmap", withHCD, w, false, true))
 			}
+			out = append(out, coreConfigAsync(alg, "bitmap", withHCD, 1))
 			out = append(out, coreConfig(alg, "bitmap", withHCD, 0, true))
 		}
 	}
 	out = append(out, coreConfig(core.LCD, "bitmap-plain", true, 2, false))
-	out = append(out, coreConfigAsync(core.LCD, "bitmap-plain", true, 2, false, true))
 	out = append(out, blqConfig(false), blqConfig(true))
 	for _, tier := range offlineTiers {
 		for _, alg := range []core.Algorithm{core.Naive, core.LCD} {
@@ -111,29 +109,27 @@ func Matrix() []Config {
 	for _, withHCD := range []bool{false, true} {
 		for _, w := range matrixWorkers {
 			out = append(out, offlineConfig(huTier, core.LCD, withHCD, w))
-			out = append(out, offlineConfigAsync(huTier, core.LCD, withHCD, w, true))
 		}
 	}
 	// Operation-memoization tier (+memo): the same cells again with the
 	// union/diff/offset-deref memo engine switched on. Memoization is a
 	// pure cache over canonical set ids, so every +memo cell must stay
-	// bit-identical to its plain counterpart: Naive/LCD ±hcd sequential,
-	// BSP at 4 workers and async at 4 owners; HT ±hcd (its topological
-	// union path); difference propagation; the plain-factory fallback
+	// bit-identical to its plain counterpart: Naive/LCD ±hcd sequential
+	// and at 4 workers; HT ±hcd (its topological union path);
+	// difference propagation; the plain-factory fallback
 	// (sets cannot be interned, so the tables must degrade gracefully);
 	// and the HVN+HU offline ladder sequential and at 4 workers.
 	for _, alg := range []core.Algorithm{core.Naive, core.LCD} {
 		for _, withHCD := range []bool{false, true} {
-			out = append(out, coreConfigMemo(alg, "bitmap", withHCD, 0, false, false))
-			out = append(out, coreConfigMemo(alg, "bitmap", withHCD, 4, false, false))
-			out = append(out, coreConfigMemo(alg, "bitmap", withHCD, 4, false, true))
+			out = append(out, coreConfigMemo(alg, "bitmap", withHCD, 0, false))
+			out = append(out, coreConfigMemo(alg, "bitmap", withHCD, 4, false))
 		}
 	}
-	out = append(out, coreConfigMemo(core.LCD, "bitmap", true, 0, true, false))
-	out = append(out, coreConfigMemo(core.HT, "bitmap", false, 0, false, false))
-	out = append(out, coreConfigMemo(core.HT, "bitmap", true, 0, false, false))
-	out = append(out, coreConfigMemo(core.LCD, "bitmap-plain", true, 0, false, false))
-	out = append(out, coreConfigMemo(core.LCD, "bitmap-plain", true, 4, false, true))
+	out = append(out, coreConfigMemo(core.LCD, "bitmap", true, 0, true))
+	out = append(out, coreConfigMemo(core.HT, "bitmap", false, 0, false))
+	out = append(out, coreConfigMemo(core.HT, "bitmap", true, 0, false))
+	out = append(out, coreConfigMemo(core.LCD, "bitmap-plain", true, 0, false))
+	out = append(out, coreConfigMemo(core.LCD, "bitmap-plain", true, 4, false))
 	for _, withHCD := range []bool{false, true} {
 		out = append(out, offlineConfigMemo(huTier, core.LCD, withHCD, 0))
 		out = append(out, offlineConfigMemo(huTier, core.LCD, withHCD, 4))
@@ -164,28 +160,19 @@ var offlineTiers = []offlineTier{
 // HCD table, mirroring the facade pipeline. Queries stay on original
 // variable ids because the solver applies the unions before constraints.
 func offlineConfig(tier offlineTier, alg core.Algorithm, withHCD bool, workers int) Config {
-	return offlineConfigFull(tier, alg, withHCD, workers, false, false)
-}
-
-// offlineConfigAsync is offlineConfig with the asynchronous engine
-// switched on for the online solve that follows the reduction passes.
-func offlineConfigAsync(tier offlineTier, alg core.Algorithm, withHCD bool, workers int, async bool) Config {
-	return offlineConfigFull(tier, alg, withHCD, workers, async, false)
+	return offlineConfigFull(tier, alg, withHCD, workers, false)
 }
 
 // offlineConfigMemo is offlineConfig with operation memoization switched
 // on for the online solve that follows the reduction passes.
 func offlineConfigMemo(tier offlineTier, alg core.Algorithm, withHCD bool, workers int) Config {
-	return offlineConfigFull(tier, alg, withHCD, workers, false, true)
+	return offlineConfigFull(tier, alg, withHCD, workers, true)
 }
 
-func offlineConfigFull(tier offlineTier, alg core.Algorithm, withHCD bool, workers int, async, memoize bool) Config {
+func offlineConfigFull(tier offlineTier, alg core.Algorithm, withHCD bool, workers int, memoize bool) Config {
 	name := alg.String() + "+" + tier.name
 	if withHCD {
 		name += "+hcd"
-	}
-	if async {
-		name += "+async"
 	}
 	if memoize {
 		name += "+memo"
@@ -224,7 +211,6 @@ func offlineConfigFull(tier offlineTier, alg core.Algorithm, withHCD bool, worke
 				WithHCD:   true,
 				HCDTable:  table,
 				Workers:   workers,
-				Async:     async,
 				Memo:      memoize,
 			})
 		},
@@ -235,19 +221,20 @@ func coreConfig(alg core.Algorithm, repr string, withHCD bool, workers int, diff
 	return coreConfigFull(alg, repr, withHCD, workers, diff, false, false)
 }
 
-// coreConfigAsync is coreConfig with the asynchronous owner-sharded
-// engine switched on: same algorithm, same solution, no rounds. The
-// worker count becomes the owner-shard count.
-func coreConfigAsync(alg core.Algorithm, repr string, withHCD bool, workers int, diff, async bool) Config {
-	return coreConfigFull(alg, repr, withHCD, workers, diff, async, false)
+// coreConfigAsync is coreConfig with Options.Async set. Workers ≥ 2
+// already runs the async owner engine, so Async cells exist for the
+// worker counts below 2, where Async alone selects the engine (with one
+// owner).
+func coreConfigAsync(alg core.Algorithm, repr string, withHCD bool, workers int) Config {
+	return coreConfigFull(alg, repr, withHCD, workers, false, true, false)
 }
 
 // coreConfigMemo is coreConfigFull with operation memoization switched
 // on: same solution, with repeated unions/diffs/offset-derefs answered
 // from the memo caches (Options.Memo). Cells over the plain bitmap
 // factory exercise the cannot-intern fallback path.
-func coreConfigMemo(alg core.Algorithm, repr string, withHCD bool, workers int, diff, async bool) Config {
-	return coreConfigFull(alg, repr, withHCD, workers, diff, async, true)
+func coreConfigMemo(alg core.Algorithm, repr string, withHCD bool, workers int, diff bool) Config {
+	return coreConfigFull(alg, repr, withHCD, workers, diff, false, true)
 }
 
 func coreConfigFull(alg core.Algorithm, repr string, withHCD bool, workers int, diff, async, memoize bool) Config {

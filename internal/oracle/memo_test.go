@@ -22,15 +22,15 @@ import (
 func TestMemoMatchesPlainOnSynthPrograms(t *testing.T) {
 	cfgs := []Config{
 		coreConfig(core.LCD, "bitmap", true, 0, false),
-		coreConfigMemo(core.LCD, "bitmap", true, 0, false, false),
+		coreConfigMemo(core.LCD, "bitmap", true, 0, false),
 		coreConfig(core.LCD, "bitmap", true, 0, true),
-		coreConfigMemo(core.LCD, "bitmap", true, 0, true, false),
+		coreConfigMemo(core.LCD, "bitmap", true, 0, true),
 		coreConfig(core.HT, "bitmap", false, 0, false),
-		coreConfigMemo(core.HT, "bitmap", false, 0, false, false),
+		coreConfigMemo(core.HT, "bitmap", false, 0, false),
 		coreConfig(core.LCD, "bitmap", false, 2, false),
-		coreConfigMemo(core.LCD, "bitmap", false, 2, false, false),
-		coreConfigMemo(core.LCD, "bitmap", true, 2, false, true),
-		coreConfigMemo(core.LCD, "bitmap-plain", true, 0, false, false),
+		coreConfigMemo(core.LCD, "bitmap", false, 2, false),
+		coreConfigMemo(core.LCD, "bitmap", true, 2, false),
+		coreConfigMemo(core.LCD, "bitmap-plain", true, 0, false),
 	}
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -54,7 +54,7 @@ func TestMemoMatchesPlainOnSynthPrograms(t *testing.T) {
 // operation memoization switched on, differentially against the
 // reference solver. Every seed that ever broke a solver now also pins
 // the memo tables: the sequential union/diff/offset-deref caches, the
-// per-owner shards of the BSP and async engines, and the plain-factory
+// per-owner shards of the async engine, and the plain-factory
 // fallback. check.sh runs this under the race detector next to the
 // parallel replay — the shard path hashes cross-owner delta payloads
 // concurrently, so a mutating Hash would surface here as a detector
@@ -62,13 +62,12 @@ func TestMemoMatchesPlainOnSynthPrograms(t *testing.T) {
 func TestFuzzSeedsMemo(t *testing.T) {
 	huTier := offlineTier{name: "hvn+hu", hvn: true, hu: true}
 	replayFuzzSeeds(t, []Config{
-		coreConfigMemo(core.LCD, "bitmap", true, 0, false, false),
-		coreConfigMemo(core.LCD, "bitmap", true, 0, true, false),
-		coreConfigMemo(core.HT, "bitmap", true, 0, false, false),
-		coreConfigMemo(core.Naive, "bitmap", false, 4, false, false),
-		coreConfigMemo(core.LCD, "bitmap", true, 4, false, false),
-		coreConfigMemo(core.LCD, "bitmap", true, 4, false, true),
-		coreConfigMemo(core.LCD, "bitmap-plain", true, 0, false, false),
+		coreConfigMemo(core.LCD, "bitmap", true, 0, false),
+		coreConfigMemo(core.LCD, "bitmap", true, 0, true),
+		coreConfigMemo(core.HT, "bitmap", true, 0, false),
+		coreConfigMemo(core.Naive, "bitmap", false, 4, false),
+		coreConfigMemo(core.LCD, "bitmap", true, 4, false),
+		coreConfigMemo(core.LCD, "bitmap-plain", true, 0, false),
 		offlineConfigMemo(huTier, core.LCD, true, 4),
 	})
 }

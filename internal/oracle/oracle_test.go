@@ -90,8 +90,8 @@ func TestReferenceMatchesExhaustive(t *testing.T) {
 
 // TestMatrixShape pins the coverage guarantees of the default matrix:
 // every core algorithm appears with both points-to representations, with
-// and without HCD; the parallel worker counts are present; and BLQ is
-// registered with and without HCD.
+// and without HCD; the parallel worker counts and the single-owner async
+// cells are present; and BLQ is registered with and without HCD.
 func TestMatrixShape(t *testing.T) {
 	names := map[string]bool{}
 	for _, cfg := range Matrix() {
@@ -120,6 +120,9 @@ func TestMatrixShape(t *testing.T) {
 			}
 			if !names[alg+hcd+"+diff/bitmap"] {
 				t.Errorf("matrix missing config %q", alg+hcd+"+diff/bitmap")
+			}
+			if want := alg + hcd + "+async/bitmap/w1"; !names[want] {
+				t.Errorf("matrix missing single-owner async config %q", want)
 			}
 		}
 	}

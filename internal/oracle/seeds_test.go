@@ -16,7 +16,7 @@ import (
 // past fuzzing campaigns, in the Go fuzzing corpus-file format. Replaying
 // them as a plain test keeps their coverage alive in runs without a
 // fuzzing toolchain — in particular under -race, where scripts/check.sh
-// replays them against the parallel engine.
+// replays them against the async owner engine.
 const fuzzSeedDir = "testdata/fuzz"
 
 // readFuzzSeed decodes a Go fuzzing corpus file holding a single []byte
@@ -45,39 +45,39 @@ func readFuzzSeed(t *testing.T, path string) []byte {
 }
 
 // TestFuzzSeedsParallel replays the committed fuzz seed corpus against
-// the parallel wave engine at four workers, differentially against the
-// reference solver. The fuzz campaigns that produced these seeds ran the
-// full matrix; this replay pins the parallel configurations specifically
-// because check.sh runs it under the race detector, where the full
-// matrix would be too slow — the interesting schedules here are the
-// concurrent compute workers, the work-stealing deques and the
-// destination-sharded merge appliers.
+// the async owner engine at two, four and eight owners (Workers ≥ 2),
+// with and without HCD, plus the HVN+HU offline ladder in front of it,
+// differentially against the reference solver. The fuzz campaigns that
+// produced these seeds ran the full matrix; this replay pins the
+// parallel configurations specifically because check.sh runs it under
+// the race detector, where the full matrix would be too slow — the
+// interesting schedules here are concurrent owner mailboxes, the Safra
+// token ring's termination decision, and the arbiter's full-pause cycle
+// collapses.
 func TestFuzzSeedsParallel(t *testing.T) {
+	huTier := offlineTier{name: "hvn+hu", hvn: true, hu: true}
 	replayFuzzSeeds(t, []Config{
 		coreConfig(core.Naive, "bitmap", false, 4, false),
 		coreConfig(core.Naive, "bitmap", true, 4, false),
-		coreConfig(core.LCD, "bitmap", false, 4, false),
+		coreConfig(core.LCD, "bitmap", false, 2, false),
 		coreConfig(core.LCD, "bitmap", true, 4, false),
+		coreConfig(core.LCD, "bitmap", true, 8, false),
+		offlineConfig(huTier, core.LCD, true, 4),
 	})
 }
 
-// TestFuzzSeedsAsync replays the committed fuzz seed corpus against the
-// asynchronous owner-sharded engine, differentially against the
-// reference solver. The interesting schedules here are different from
-// the BSP replay's: concurrent owner mailboxes, the Safra token ring's
-// termination decision, and the arbiter's full-pause cycle collapses —
-// check.sh runs this under the race detector, where a missed
-// happens-before edge in any of them surfaces as a detector report or a
-// divergence.
+// TestFuzzSeedsAsync replays the same corpus through the configurations
+// that reach the owner engine through Options.Async alone: one owner,
+// Naive and LCD, with and without HCD. With a single owner, owner 0 owns
+// every node and the Safra ring is arbiter → owner 0 → arbiter, a
+// schedule the multi-owner replay never produces; check.sh runs it
+// under the race detector next to the parallel replay.
 func TestFuzzSeedsAsync(t *testing.T) {
-	huTier := offlineTier{name: "hvn+hu", hvn: true, hu: true}
 	replayFuzzSeeds(t, []Config{
-		coreConfigAsync(core.Naive, "bitmap", false, 4, false, true),
-		coreConfigAsync(core.Naive, "bitmap", true, 4, false, true),
-		coreConfigAsync(core.LCD, "bitmap", false, 2, false, true),
-		coreConfigAsync(core.LCD, "bitmap", true, 4, false, true),
-		coreConfigAsync(core.LCD, "bitmap", true, 8, false, true),
-		offlineConfigAsync(huTier, core.LCD, true, 4, true),
+		coreConfigAsync(core.Naive, "bitmap", false, 1),
+		coreConfigAsync(core.Naive, "bitmap", true, 1),
+		coreConfigAsync(core.LCD, "bitmap", false, 1),
+		coreConfigAsync(core.LCD, "bitmap", true, 1),
 	})
 }
 

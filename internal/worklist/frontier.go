@@ -2,27 +2,17 @@ package worklist
 
 import "slices"
 
-// Frontier is the bulk-synchronous counterpart of Worklist: a deduplicating
-// set of node ids that is filled during one propagation round (the barrier
-// merge) and drained whole at the start of the next. Draining returns the
-// nodes in ascending id order regardless of push order, so a parallel round
-// sees a frontier that is deterministic for a given graph state — the
-// property the wave solver's reproducibility argument rests on.
-//
-// Plain Push is single-threaded. For the destination-sharded merge,
-// ConcurrentShards hands out per-owner fill handles that may push
-// concurrently as long as each node id is pushed through the shard of its
-// owner only (ownership partitions the id space, so the shared member
-// array is accessed race-free); Gather folds the shards back before the
-// next Drain.
+// Frontier is a deduplicating set of pending node ids with two ways to
+// consume it: Pop, one node at a time in push order (the async engine's
+// per-owner dirty queues, which interleave pushes and pops), and Drain,
+// all pending nodes at once in ascending id order regardless of push
+// order. Push, Pop and Drain are single-threaded.
 type Frontier struct {
-	nodes   []uint32
-	spare   []uint32 // the previous drain's buffer, recycled on the next Drain
-	head    int      // consumed prefix of nodes (Pop); 0 under round use
-	member  []bool
-	sorted  bool
-	shards  []FrontierShard
-	handles []*FrontierShard
+	nodes  []uint32
+	spare  []uint32 // the previous drain's buffer, recycled on the next Drain
+	head   int      // consumed prefix of nodes (Pop)
+	member []bool
+	sorted bool
 }
 
 // NewFrontier returns an empty frontier over nodes 0..n-1.
@@ -49,8 +39,7 @@ func (f *Frontier) Len() int { return len(f.nodes) - f.head }
 func (f *Frontier) Empty() bool { return f.head >= len(f.nodes) }
 
 // Pop removes and returns one pending node — the continuous-consumption
-// counterpart of Drain, used by the asynchronous solver's owner loops,
-// which interleave pushes and pops instead of alternating whole rounds.
+// counterpart of Drain, used by the asynchronous solver's owner loops.
 // Pop order is FIFO over pushes (no per-pop sorting); a popped node may be
 // re-pushed immediately. Mixing Pop with Drain is allowed: Drain returns
 // whatever Pop has not yet consumed.
@@ -73,7 +62,7 @@ func (f *Frontier) Pop() (uint32, bool) {
 // Drain removes and returns all pending nodes in ascending id order. The
 // returned slice is valid until the NEXT Drain call: the frontier keeps
 // two buffers and ping-pongs between them, so steady-state rounds push
-// into one while the solver walks the other — no per-round growth.
+// into one while the caller walks the other — no per-round growth.
 func (f *Frontier) Drain() []uint32 {
 	out := f.nodes[f.head:]
 	if !f.sorted {
@@ -85,65 +74,6 @@ func (f *Frontier) Drain() []uint32 {
 	f.nodes, f.spare, f.head = f.spare[:0], f.nodes, 0
 	f.sorted = true
 	return out
-}
-
-// FrontierShard is one owner's private fill handle on a Frontier, handed
-// out by ConcurrentShards. Push appends to shard-private storage and
-// consults the frontier's shared member array — safe because the caller
-// guarantees each node id flows through exactly one shard.
-type FrontierShard struct {
-	f     *Frontier
-	nodes []uint32
-	// pad the struct to a cache line: shards live in one contiguous
-	// slice, and without padding two owners appending concurrently would
-	// false-share the adjacent slice headers.
-	_ [64 - 8 - 24]byte
-}
-
-// Push adds x unless it is already pending (in the frontier or any shard).
-func (s *FrontierShard) Push(x uint32) {
-	if s.f.member[x] {
-		return
-	}
-	s.f.member[x] = true
-	s.nodes = append(s.nodes, x)
-}
-
-// ConcurrentShards returns k fill handles for a concurrent merge phase.
-// The handles are owned by the frontier and reused across calls (their
-// buffers keep capacity), so a round-loop pays no per-round allocation.
-// Every handle must be used by at most one goroutine at a time, and a
-// given node id must only ever be pushed through one handle (the caller's
-// ownership partition); Gather must run before the next Drain.
-func (f *Frontier) ConcurrentShards(k int) []*FrontierShard {
-	if len(f.shards) < k {
-		f.shards = make([]FrontierShard, k)
-		f.handles = make([]*FrontierShard, k)
-		for i := range f.shards {
-			f.shards[i].f = f
-			f.handles[i] = &f.shards[i]
-		}
-	}
-	out := f.handles[:k]
-	for _, s := range out {
-		s.nodes = s.nodes[:0]
-	}
-	return out
-}
-
-// Gather folds every shard's pushes back into the frontier (single-
-// threaded; call after the concurrent phase has quiesced). Shard buffers
-// keep their capacity for the next round.
-func (f *Frontier) Gather() {
-	for i := range f.shards {
-		s := &f.shards[i]
-		if len(s.nodes) == 0 {
-			continue
-		}
-		f.sorted = false
-		f.nodes = append(f.nodes, s.nodes...)
-		s.nodes = s.nodes[:0]
-	}
 }
 
 // Shards splits nodes into at most k contiguous, nearly equal-sized

@@ -3,7 +3,6 @@ package worklist
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -127,97 +126,56 @@ func TestFrontierDrainReuse(t *testing.T) {
 	}
 }
 
-// TestFrontierConcurrentShards drives the per-owner fill handles from
-// concurrent goroutines under the ownership partition (id mod k) and
-// checks Gather + Drain yield the deduplicated ascending union.
-func TestFrontierConcurrentShards(t *testing.T) {
-	const n, k = 1000, 4
-	f := NewFrontier(n)
-	f.Push(12) // pre-gather membership must suppress shard re-pushes
-	shards := f.ConcurrentShards(k)
-	if len(shards) != k {
-		t.Fatalf("ConcurrentShards returned %d handles, want %d", len(shards), k)
-	}
-	var wg sync.WaitGroup
-	for o := 0; o < k; o++ {
-		wg.Add(1)
-		go func(o int) {
-			defer wg.Done()
-			s := shards[o]
-			for x := uint32(o); x < n; x += k {
-				if x%3 == 0 || x == 12 {
-					s.Push(x)
-					s.Push(x) // duplicate: must dedup
-				}
-			}
-		}(o)
-	}
-	wg.Wait()
-	f.Gather()
-	got := f.Drain()
-	var want []uint32
-	for x := uint32(0); x < n; x++ {
-		if x%3 == 0 || x == 12 {
-			want = append(want, x)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Drain after Gather = %d nodes, want %d (got %v...)", len(got), len(want), got[:min(len(got), 8)])
-	}
-	// Handles are persistent: a second round must hand back the same
-	// shard objects with emptied buffers.
-	again := f.ConcurrentShards(k)
-	for i := range again {
-		if again[i] != shards[i] {
-			t.Fatalf("shard %d reallocated across rounds", i)
-		}
-		if len(again[i].nodes) != 0 {
-			t.Fatalf("shard %d not emptied: %v", i, again[i].nodes)
-		}
-	}
-}
-
 // TestFrontierSteadyStateAllocs is the hard form of the reuse property:
-// after warmup, a push/shard/gather/drain round allocates nothing.
+// after warmup, neither a push/drain round nor a push/pop round (the
+// async owners' dirty-queue pattern) allocates.
 func TestFrontierSteadyStateAllocs(t *testing.T) {
-	const n, k = 512, 4
+	const n = 512
 	f := NewFrontier(n)
-	round := func() {
-		shards := f.ConcurrentShards(k)
-		for o := 0; o < k; o++ {
-			for x := uint32(o); x < n; x += k {
-				shards[o].Push(x)
-			}
+	drainRound := func() {
+		for x := uint32(0); x < n; x++ {
+			f.Push(n - 1 - x)
 		}
-		f.Gather()
 		if got := f.Drain(); len(got) != n {
 			t.Fatalf("drained %d, want %d", len(got), n)
 		}
 	}
-	round() // warm both ping-pong buffers and the shard capacities
-	round()
-	if avg := testing.AllocsPerRun(20, round); avg != 0 {
-		t.Fatalf("steady-state round allocates %.1f times, want 0", avg)
+	popRound := func() {
+		for x := uint32(0); x < n; x++ {
+			f.Push(x)
+		}
+		for popped := 0; ; popped++ {
+			if _, ok := f.Pop(); !ok {
+				if popped != n {
+					t.Fatalf("popped %d, want %d", popped, n)
+				}
+				return
+			}
+		}
+	}
+	drainRound() // warm both ping-pong buffers
+	drainRound()
+	popRound()
+	if avg := testing.AllocsPerRun(20, drainRound); avg != 0 {
+		t.Fatalf("steady-state drain round allocates %.1f times, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(20, popRound); avg != 0 {
+		t.Fatalf("steady-state pop round allocates %.1f times, want 0", avg)
 	}
 }
 
-// BenchmarkFrontierDrainReuse measures a steady-state frontier round.
-// The headline number is allocs/op: it must be 0 — the wave engine runs
-// one of these per propagation round, and before the double-buffered
-// Drain each round grew a fresh nodes slice.
+// BenchmarkFrontierDrainReuse measures a steady-state push/drain round.
+// The headline number is allocs/op: it must be 0 — before the
+// double-buffered Drain each round grew a fresh nodes slice.
 func BenchmarkFrontierDrainReuse(b *testing.B) {
-	const n, k = 4096, 8
+	const n = 4096
 	f := NewFrontier(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shards := f.ConcurrentShards(k)
-		for o := 0; o < k; o++ {
-			for x := uint32(o); x < n; x += k {
-				shards[o].Push(x)
-			}
+		for x := uint32(0); x < n; x++ {
+			f.Push(n - 1 - x)
 		}
-		f.Gather()
 		f.Drain()
 	}
 }

@@ -13,17 +13,18 @@
 #   serve      — stage 9 (end-to-end daemon gate)
 #   gofrontend — stage 10 (Go front end: golden/spec/e2e/differential
 #                tests by name, then antgo self-analysis end-to-end)
-#   async      — stage 11 (asynchronous engine: named async tests and the
-#                async fuzz-seed replay under -race, then antsolve -async
-#                end-to-end with its solution diffed against sequential)
+#   async      — stage 11 (the parallel engine: named async tests and the
+#                parallel fuzz-seed replay under -race, then antsolve
+#                -workers 4 end-to-end with its solution diffed against
+#                sequential)
 #   memo       — stage 12 (operation memoization: the memo/pts unit tests
 #                and the memo property/fuzz-seed replays under -race, then
-#                antsolve -memo end-to-end — sequential and async — with
-#                the solutions diffed against plain solving)
+#                antsolve -memo end-to-end — sequential and at 4 workers —
+#                with the solutions diffed against plain solving)
 #
 # The stages:
 #   1. a gofmt gate (fails listing any unformatted file);
-#   2. go vet over every package, once per build configuration;
+#   2. go vet over every package;
 #   3. the full build;
 #   4. the full test suite;
 #   5. an explicit replay of the differential-testing seed corpus
@@ -32,16 +33,13 @@
 #      so a corpus regression is called out unmistakably in CI logs;
 #   6. a race-detector pass over the concurrency-bearing packages
 #      (internal/par, internal/core, internal/worklist, internal/metrics)
-#      in -short mode, so the parallel engine's lock-free compute phase,
-#      the work-stealing deques, the concurrent frontier shards and the
-#      metrics registry are exercised under the race detector on every
-#      change — plus a -race replay of the committed fuzz seed corpus
-#      against the parallel configurations at four workers (race builds
-#      force at least two concurrent merge appliers, so the
-#      destination-sharded merge runs concurrently even on one CPU) and
-#      against the offline HVN/HU value-numbering tiers, so every seed
-#      that ever broke a solver also pins the reduction passes as
-#      solution-preserving;
+#      in -short mode, so the async engine's owner goroutines, mailboxes,
+#      token ring and pause protocol and the metrics registry are
+#      exercised under the race detector on every change — plus a -race
+#      replay of the committed fuzz seed corpus against the parallel
+#      configurations (one to eight owners) and against the offline
+#      HVN/HU value-numbering tiers, so every seed that ever broke a
+#      solver also pins the reduction passes as solution-preserving;
 #   7. a GODEBUG=gccheckmark=1 smoke run of the pool and COW tests:
 #      checkmark mode re-marks the heap after every GC cycle and aborts
 #      on any object the concurrent mark missed, so a pooled element
@@ -62,19 +60,17 @@
 #      name (so a front-end regression is called out unmistakably), then
 #      antgo built and run on this repository end-to-end, failing unless
 #      it produces a non-empty call graph;
-#  11. the asynchronous-engine gate: every TestAsync* unit and oracle
+#  11. the parallel-engine gate: every TestAsync* and TestParallel* unit
 #      test under the race detector (token-ring termination, pause
-#      collapses, oracle equivalence, the bench sweep invariants), the
-#      fuzz seed corpus replayed through the async configurations under
-#      -race, and an end-to-end antsolve run — the same workload solved
-#      sequentially and with -async -workers 4, gating on byte-identical
-#      points-to solutions;
+#      collapses, oracle equivalence), and an end-to-end antsolve run —
+#      the same workload solved sequentially and with -workers 4, gating
+#      on byte-identical points-to solutions;
 #  12. the memoization gate: the internal/memo and pts interning unit
 #      tests plus the memo property test and fuzz-seed replay under the
 #      race detector (the parallel shard path hashes cross-owner delta
 #      payloads concurrently, so a mutating Hash surfaces here), then an
 #      end-to-end antsolve run — the same workload solved plain, with
-#      -memo, and with -memo -async -workers 4, gating on byte-identical
+#      -memo, and with -memo -workers 4, gating on byte-identical
 #      points-to solutions.
 #
 # /bin/sh has no pipefail, so every stage below is a plain command (or
@@ -121,13 +117,6 @@ if want static; then
 
 	echo "==> go vet ./..."
 	go vet ./...
-	# Build configurations beyond the default. The race tag gates the
-	# forced-concurrent-merge constant in internal/core (race_on.go).
-	extra_tags="race"
-	for tags in $extra_tags; do
-		echo "==> go vet -tags $tags ./..."
-		go vet -tags "$tags" ./...
-	done
 
 	echo "==> go build ./..."
 	go build ./...
@@ -145,11 +134,8 @@ if want race; then
 	echo "==> go test -race -short ./internal/par ./internal/core ./internal/worklist ./internal/metrics"
 	go test -race -short ./internal/par ./internal/core ./internal/worklist ./internal/metrics
 
-	echo "==> go test -race -count=1 -run TestFuzzSeedsParallel ./internal/oracle"
-	go test -race -count=1 -run TestFuzzSeedsParallel ./internal/oracle
-
-	echo "==> go test -race -count=1 -run TestFuzzSeedsOffline ./internal/oracle"
-	go test -race -count=1 -run TestFuzzSeedsOffline ./internal/oracle
+	echo "==> go test -race -count=1 -run 'TestFuzzSeedsParallel|TestFuzzSeedsAsync|TestFuzzSeedsOffline' ./internal/oracle"
+	go test -race -count=1 -run 'TestFuzzSeedsParallel|TestFuzzSeedsAsync|TestFuzzSeedsOffline' ./internal/oracle
 
 	echo "==> GODEBUG=gccheckmark=1 go test -count=1 -run 'TestPool|TestPooled|TestCursor|TestCOW|TestRelease|TestDedup' ./internal/bitmap ./internal/pts"
 	GODEBUG=gccheckmark=1 go test -count=1 -run 'TestPool|TestPooled|TestCursor|TestCOW|TestRelease|TestDedup' ./internal/bitmap ./internal/pts
@@ -224,13 +210,10 @@ if want gofrontend; then
 fi
 
 if want async; then
-	echo "==> go test -race -count=1 -run 'TestAsync' ./internal/par ./internal/core ./internal/bench"
-	go test -race -count=1 -run 'TestAsync' ./internal/par ./internal/core ./internal/bench
+	echo "==> go test -race -count=1 -run 'TestAsync|TestParallel|TestWorkersRunOwnerEngine' ./internal/par ./internal/core"
+	go test -race -count=1 -run 'TestAsync|TestParallel|TestWorkersRunOwnerEngine' ./internal/par ./internal/core
 
-	echo "==> go test -race -count=1 -run TestFuzzSeedsAsync ./internal/oracle"
-	go test -race -count=1 -run TestFuzzSeedsAsync ./internal/oracle
-
-	echo "==> antsolve -async end-to-end vs sequential"
+	echo "==> antsolve -workers 4 end-to-end vs sequential"
 	asyncdir=$(mktemp -d "${TMPDIR:-/tmp}/antgrass-async.XXXXXX")
 	cleanup_async() {
 		rm -rf "$asyncdir"
@@ -245,14 +228,14 @@ if want async; then
 	go build -o "$asyncdir/antsolve" ./cmd/antsolve
 	"$asyncdir/antsynth" -bench emacs -scale 0.1 -o "$asyncdir/prog.constraints"
 	"$asyncdir/antsolve" -alg lcd -hcd -print "$asyncdir/prog.constraints" >"$asyncdir/seq.txt"
-	"$asyncdir/antsolve" -alg lcd -hcd -workers 4 -async -print "$asyncdir/prog.constraints" >"$asyncdir/async.txt"
+	"$asyncdir/antsolve" -alg lcd -hcd -workers 4 -print "$asyncdir/prog.constraints" >"$asyncdir/async.txt"
 	# Compare only the solution lines ("name -> {...}"); the headers
 	# carry wall-clock times that legitimately differ. grep exits 1 on an
 	# empty solution, failing the stage under set -e.
 	grep ' -> {' "$asyncdir/seq.txt" >"$asyncdir/seq.sol"
 	grep ' -> {' "$asyncdir/async.txt" >"$asyncdir/async.sol"
 	if ! cmp -s "$asyncdir/seq.sol" "$asyncdir/async.sol"; then
-		echo "async: antsolve -async solution differs from sequential:" >&2
+		echo "async: antsolve -workers 4 solution differs from sequential:" >&2
 		diff "$asyncdir/seq.sol" "$asyncdir/async.sol" >&2 || true
 		exit 1
 	fi
@@ -285,7 +268,7 @@ if want memo; then
 	"$memodir/antsynth" -bench emacs -scale 0.1 -o "$memodir/prog.constraints"
 	"$memodir/antsolve" -alg lcd -hcd -print "$memodir/prog.constraints" >"$memodir/plain.txt"
 	"$memodir/antsolve" -alg lcd -hcd -memo -print "$memodir/prog.constraints" >"$memodir/memo.txt"
-	"$memodir/antsolve" -alg lcd -hcd -memo -workers 4 -async -print "$memodir/prog.constraints" >"$memodir/memo-async.txt"
+	"$memodir/antsolve" -alg lcd -hcd -memo -workers 4 -print "$memodir/prog.constraints" >"$memodir/memo-async.txt"
 	# Compare only the solution lines ("name -> {...}"); the headers
 	# carry wall-clock times that legitimately differ. grep exits 1 on an
 	# empty solution, failing the stage under set -e.

@@ -274,10 +274,10 @@ type Session struct {
 func resumableConfig(o Options) bool {
 	algOK := o.Algorithm == "" || o.Algorithm == Naive || o.Algorithm == LCD
 	ptsOK := o.Pts == "" || o.Pts == Bitmap
-	// Async (like Workers ≥ 2) is excluded: the live resume path keeps a
-	// sequential worklist warm, and the engines' owner-sharded state is
-	// not retained between solves. Async sessions replay each update
-	// through solveOnce, which still honors the flag.
+	// Async and Workers ≥ 2 are excluded: the live resume path keeps a
+	// sequential worklist warm, and the owner-sharded engine's state is
+	// not retained between solves. Such sessions replay each update
+	// through solveOnce, which still honors both.
 	return algOK && ptsOK && !o.HVN && !o.HU && !o.OVS && o.Workers < 2 && !o.Async
 }
 
