@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -192,6 +193,7 @@ func main() {
 		fmt.Printf("nodes searched:   %d\n", s.NodesSearched)
 		fmt.Printf("propagations:     %d\n", s.Propagations)
 		fmt.Printf("edges added:      %d\n", s.EdgesAdded)
+		fmt.Printf("edge probes:      %d\n", s.EdgeProbes)
 		fmt.Printf("cycle checks:     %d\n", s.CycleChecks)
 		fmt.Printf("hcd collapses:    %d\n", s.HCDCollapses)
 		if *hcd {
@@ -213,15 +215,21 @@ func main() {
 		if !found {
 			fatal(fmt.Errorf("no variable named %q", *varName))
 		}
-		printVar(prog, res, id)
+		out := bufio.NewWriter(os.Stdout)
+		printVar(out, prog, res, id)
+		flush(out)
 		return
 	}
 	if *print {
+		// A paper-size solution prints hundreds of megabytes; one write
+		// per name would make printing cost far more than solving.
+		out := bufio.NewWriter(os.Stdout)
 		for v := uint32(0); v < uint32(prog.NumVars); v++ {
 			if res.PointsToLen(v) > 0 {
-				printVar(prog, res, v)
+				printVar(out, prog, res, v)
 			}
 		}
+		flush(out)
 	}
 }
 
@@ -251,15 +259,24 @@ func findVar(p *antgrass.Program, name string) (uint32, bool) {
 	return 0, false
 }
 
-func printVar(p *antgrass.Program, r *antgrass.Result, v uint32) {
-	fmt.Printf("%s -> {", p.NameOf(v))
+func printVar(w *bufio.Writer, p *antgrass.Program, r *antgrass.Result, v uint32) {
+	w.WriteString(p.NameOf(v))
+	w.WriteString(" -> {")
 	for i, o := range r.PointsTo(v) {
 		if i > 0 {
-			fmt.Print(" ")
+			w.WriteByte(' ')
 		}
-		fmt.Print(p.NameOf(o))
+		w.WriteString(p.NameOf(o))
 	}
-	fmt.Println("}")
+	w.WriteString("}\n")
+}
+
+// flush writes out w's buffer; a failed write (a closed pipe, a full
+// disk) is fatal rather than a silently truncated solution.
+func flush(w *bufio.Writer) {
+	if err := w.Flush(); err != nil {
+		fatal(err)
+	}
 }
 
 func fatal(err error) {

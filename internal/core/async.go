@@ -68,6 +68,7 @@ func solveAsync(ctx context.Context, g *graph, opts Options, lazy bool) error {
 	for i := range s.ow {
 		g.stats.Propagations += s.ow[i].propagations
 		g.stats.EdgesAdded += s.ow[i].edgesAdded
+		g.stats.EdgeProbes += s.ow[i].edgeProbes
 		if sh := s.ow[i].memo; sh != nil {
 			g.memoStats.Add(sh.Stats())
 			sh.Release()
@@ -139,6 +140,7 @@ type asyncOwnerState struct {
 
 	propagations int64
 	edgesAdded   int64
+	edgeProbes   int64
 	_            [64]byte
 }
 
@@ -437,6 +439,7 @@ func (s *asyncState) applyEdgeLocal(w int, rs, rd uint32) {
 // emitEdge routes the semantic copy edge src → dst (any ids) to the owner
 // of the source's representative.
 func (s *asyncState) emitEdge(w int, src, dst uint32) {
+	s.ow[w].edgeProbes++
 	rs, rd := s.g.nodes.FindRO(src), s.g.nodes.FindRO(dst)
 	if rs == rd {
 		return

@@ -6,7 +6,6 @@ import (
 
 	"antgrass/internal/memo"
 	"antgrass/internal/pts"
-	"antgrass/internal/scc"
 	"antgrass/internal/worklist"
 )
 
@@ -38,8 +37,16 @@ type basicState struct {
 
 	derefScratch []uint32
 	derefExpand  []uint32 // unmemoized offset-expansion fallback buffer
-	pops         int
-	intervals    int
+	reps         []uint32 // resolveMemo: the snapshot's distinct reps
+
+	// stamp[r] == epoch marks rep r as already resolved at offset 0 in
+	// the current step-1 visit (see beginResolve). Indexed by node; run
+	// grows it with the graph, which Live extends between runs.
+	stamp []uint32
+	epoch uint32
+
+	pops      int
+	intervals int
 }
 
 // newBasicState prepares the solver state for g without running anything.
@@ -78,6 +85,94 @@ func (st *basicState) unionInto(dst, src pts.Set) bool {
 	return dst.UnionWith(src)
 }
 
+// Step 1 performs no unites, so within one visit every find is stable and
+// a probe addEdge(src, dst) that repeats a pair already probed always
+// returns false and pushes nothing. Collapsing maps the pointees of a node
+// to a handful of representatives, so the literal "for each v ∈ pts(n),
+// for each a ⊇ *n: add rep(v) → a" repeats almost every offset-0 probe
+// (a probe's pair depends on v only through rep(v)). The resolve loops
+// skip exactly those repeats: a representative stamped earlier in the
+// visit makes no offset-0 probes. Nonzero offsets resolve v+off, which
+// depends on v itself, and keep their per-pointee probes. Only probes
+// that cannot add an edge are skipped, so the schedule is unchanged.
+
+// beginResolve opens a step-1 visit: afterwards no representative is
+// stamped. Stamps are compared against an epoch that advances per visit,
+// so opening a visit is O(1) until the epoch wraps.
+func (st *basicState) beginResolve() {
+	if st.epoch++; st.epoch == 0 {
+		clear(st.stamp)
+		st.epoch = 1
+	}
+}
+
+// firstVisit reports whether rep r is seen for the first time in the
+// current step-1 visit, and stamps it.
+func (st *basicState) firstVisit(r uint32) bool {
+	if st.stamp[r] == st.epoch {
+		return false
+	}
+	st.stamp[r] = st.epoch
+	return true
+}
+
+// hasOffset reports whether any constraint in ds dereferences at a
+// nonzero offset.
+func hasOffset(ds []deref) bool {
+	for _, d := range ds {
+		if d.Off != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// resolve is step 1 in the element-major order of Figure 1 over the
+// snapshot in st.derefScratch, skipping repeated offset-0 probes.
+func (st *basicState) resolve(loads, stores []deref, onNewEdge func(src, dst uint32)) {
+	g := st.g
+	offsets := hasOffset(loads) || hasOffset(stores)
+	for _, v := range st.derefScratch {
+		rv := g.find(v)
+		first := st.firstVisit(rv)
+		if !first && !offsets {
+			continue // every probe for v repeats one already made
+		}
+		for _, ld := range loads {
+			src := rv
+			if ld.Off != 0 {
+				t, valid := g.validTarget(v, ld.Off)
+				if !valid {
+					continue
+				}
+				src = g.find(t)
+			} else if !first {
+				continue
+			}
+			dst := g.find(ld.Other)
+			if g.addEdge(src, dst) {
+				onNewEdge(src, dst)
+			}
+		}
+		for _, stc := range stores {
+			dst := rv
+			if stc.Off != 0 {
+				t, valid := g.validTarget(v, stc.Off)
+				if !valid {
+					continue
+				}
+				dst = g.find(t)
+			} else if !first {
+				continue
+			}
+			src := g.find(stc.Other)
+			if g.addEdge(src, dst) {
+				onNewEdge(src, dst)
+			}
+		}
+	}
+}
+
 // resolveMemo is the memoized form of step 1: it realizes the complex
 // constraints constraint-major instead of element-major, so each distinct
 // (work, offset) dereference expansion is computed — or memo-hit — once
@@ -87,18 +182,24 @@ func (st *basicState) unionInto(dst, src pts.Set) bool {
 // st.derefScratch must already hold work's element snapshot.
 func (st *basicState) resolveMemo(work pts.Set, loads, stores []deref, onNewEdge func(src, dst uint32)) {
 	g := st.g
+	st.reps = st.reps[:0]
+	for _, v := range st.derefScratch {
+		if rv := g.find(v); st.firstVisit(rv) {
+			st.reps = append(st.reps, rv)
+		}
+	}
 	for _, ld := range loads {
+		dst := g.find(ld.Other)
 		for _, t := range st.derefTargets(work, ld.Off) {
 			src := g.find(t)
-			dst := g.find(ld.Other)
 			if g.addEdge(src, dst) {
 				onNewEdge(src, dst)
 			}
 		}
 	}
 	for _, stc := range stores {
+		src := g.find(stc.Other)
 		for _, t := range st.derefTargets(work, stc.Off) {
-			src := g.find(stc.Other)
 			dst := g.find(t)
 			if g.addEdge(src, dst) {
 				onNewEdge(src, dst)
@@ -107,13 +208,14 @@ func (st *basicState) resolveMemo(work pts.Set, loads, stores []deref, onNewEdge
 	}
 }
 
-// derefTargets returns the valid dereference targets of work at off.
-// Offset 0 is the identity expansion — the element snapshot itself;
-// nonzero offsets go through the memo. The result is read-only and valid
-// until the next derefTargets call with a nonzero offset.
+// derefTargets returns the dereference targets of work at off for
+// resolveMemo. Offset 0 is the identity expansion, deduplicated to the
+// snapshot's distinct representatives (st.reps); nonzero offsets go
+// through the memo. The result is read-only and valid until the next
+// derefTargets call with a nonzero offset.
 func (st *basicState) derefTargets(work pts.Set, off uint32) []uint32 {
 	if off == 0 {
-		return st.derefScratch
+		return st.reps
 	}
 	if ts, ok := st.memo.OffsetDeref(work, off, st.derefScratch, st.g.validTarget); ok {
 		return ts
@@ -170,6 +272,9 @@ func solveBasic(ctx context.Context, g *graph, opts Options, lazy bool) error {
 // at the least fixpoint of the constraints represented in the graph.
 func (st *basicState) run(ctx context.Context, w worklist.Worklist) error {
 	g, opts, lazy, diff := st.g, st.opts, st.lazy, st.diff
+	if len(st.stamp) < g.n {
+		st.stamp = append(st.stamp, make([]uint32, g.n-len(st.stamp))...)
+	}
 	for {
 		x, ok := w.Pop()
 		if !ok {
@@ -246,33 +351,11 @@ func (st *basicState) run(ctx context.Context, w worklist.Worklist) error {
 			// also insulates the iteration from the set unions onNewEdge
 			// performs under difference propagation.
 			st.derefScratch = work.AppendTo(st.derefScratch[:0])
+			st.beginResolve()
 			if st.memo != nil {
 				st.resolveMemo(work, loads, stores, onNewEdge)
 			} else {
-				for _, v := range st.derefScratch {
-					for _, ld := range loads {
-						t, valid := g.validTarget(v, ld.Off)
-						if !valid {
-							continue
-						}
-						src := g.find(t)
-						dst := g.find(ld.Other)
-						if g.addEdge(src, dst) {
-							onNewEdge(src, dst)
-						}
-					}
-					for _, stc := range stores {
-						t, valid := g.validTarget(v, stc.Off)
-						if !valid {
-							continue
-						}
-						src := g.find(stc.Other)
-						dst := g.find(t)
-						if g.addEdge(src, dst) {
-							onNewEdge(src, dst)
-						}
-					}
-				}
+				st.resolve(loads, stores, onNewEdge)
 			}
 		}
 		// Step 2: propagate along outgoing copy edges, with the LCD
@@ -356,9 +439,7 @@ func (g *graph) detectAndCollapseMulti(roots []uint32, push func(uint32)) bool {
 		t0 := time.Now()
 		defer func() { g.cycleNS += time.Since(t0).Nanoseconds() }()
 	}
-	res := scc.Nuutila(g.n, roots, func(x uint32) []uint32 {
-		return g.succsSnapshot(x)
-	})
+	res := g.searcher.Search(g.n, roots, g.succsSnapshot)
 	g.stats.NodesSearched += int64(res.Visited)
 	collapsed := false
 	for _, comp := range res.Comps {

@@ -9,6 +9,7 @@ import (
 	"antgrass/internal/memo"
 	"antgrass/internal/metrics"
 	"antgrass/internal/pts"
+	"antgrass/internal/scc"
 	"antgrass/internal/uf"
 )
 
@@ -103,6 +104,12 @@ type graph struct {
 	// elements here. Touched only by single-threaded solver code (async
 	// owners insert edges through addEdgeIn with their own pools).
 	edgePool *bitmap.Pool
+
+	// searcher runs every cycle search on this graph — LCD's triggered
+	// checks, the async arbiter's multi-root pass and PKH's sweeps — so
+	// each costs the nodes it visits instead of three fresh n-sized
+	// arrays. Single-threaded, like the collapses it feeds.
+	searcher scc.Searcher
 
 	// scratch for succsOf / applyHCD
 	succScratch []uint32
@@ -249,6 +256,7 @@ func (g *graph) addCopyEdge(src, dst uint32) bool {
 // addEdge inserts the adjacency edge src → dst (both must be reps). Self-edges
 // are dropped. Reports whether the edge is new.
 func (g *graph) addEdge(src, dst uint32) bool {
+	g.stats.EdgeProbes++
 	if src == dst {
 		return false
 	}

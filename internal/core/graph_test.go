@@ -60,6 +60,10 @@ func TestGraphAddEdgeSelfAndDuplicate(t *testing.T) {
 	if g.addEdge(0, 1) {
 		t.Error("duplicate edge must not report new")
 	}
+	// Every attempt is a probe; only the fresh edge is added.
+	if g.stats.EdgeProbes != 3 || g.stats.EdgesAdded != 1 {
+		t.Errorf("EdgeProbes = %d, EdgesAdded = %d, want 3 and 1", g.stats.EdgeProbes, g.stats.EdgesAdded)
+	}
 }
 
 func TestGraphUniteMergesEverything(t *testing.T) {

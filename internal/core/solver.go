@@ -188,6 +188,12 @@ type Stats struct {
 	Propagations int64
 	// EdgesAdded counts constraint edges inserted (initial and derived).
 	EdgesAdded int64
+	// EdgeProbes counts edge-insertion attempts, EdgesAdded among them:
+	// every probe of the explicit-graph solvers, including self-edges
+	// and edges already present that are dropped, and every edge the
+	// async engine's owners emit. EdgeProbes − EdgesAdded is the
+	// insertion work that found nothing new.
+	EdgeProbes int64
 	// CycleChecks counts triggered cycle-detection attempts (LCD) or
 	// sweeps (PKH).
 	CycleChecks int64
@@ -439,6 +445,7 @@ func (s *Stats) Export(m *metrics.Registry) {
 	m.SetCounter("nodes_searched", s.NodesSearched)
 	m.SetCounter("propagations", s.Propagations)
 	m.SetCounter("edges_added", s.EdgesAdded)
+	m.SetCounter("edge_probes", s.EdgeProbes)
 	m.SetCounter("cycle_checks", s.CycleChecks)
 	m.SetCounter("hcd_collapses", s.HCDCollapses)
 	m.SetCounter("rounds", s.Rounds)

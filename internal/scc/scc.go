@@ -10,7 +10,10 @@
 // Both entry points visit only nodes reachable from the given roots, which
 // is what Lazy Cycle Detection needs (a search rooted at the target of a
 // propagation edge), and both report the number of nodes visited, which is
-// the "nodes searched" statistic of §5.3.
+// the "nodes searched" statistic of §5.3. A Searcher runs the Nuutila
+// search repeatedly at a cost proportional to the nodes each search
+// visits, which is what a solver making thousands of small searches over
+// one large graph needs; Nuutila is its one-shot form.
 package scc
 
 // Succs returns the successors of node x. The returned slice is owned by the
@@ -132,29 +135,51 @@ func (s *tarjanState) visit(root uint32) {
 	}
 }
 
-type nuutilaState struct {
+// Searcher runs Nuutila and Soisalon-Soininen's variant of Tarjan's
+// algorithm, which keeps only candidate component members on the explicit
+// stack, repeatedly over one node universe that may grow between calls.
+// Its per-node arrays are sized to the largest n seen and reset, at the
+// start of each search, only at the nodes the previous search touched — so
+// a search rooted in a small region costs O(nodes visited), not O(n). That
+// is the shape of Lazy Cycle Detection's searches: thousands of checks
+// that each visit a handful of nodes of a large graph.
+//
+// The zero value is ready to use. A Searcher is not safe for concurrent
+// use.
+type Searcher struct {
 	succs       Succs
 	index       []uint32 // 1-based discovery index; 0 = unvisited
 	root        []uint32 // candidate root (by node id), valid once visited
 	inComponent []bool
+	touched     []uint32 // nodes visited by the last search
 	stack       []uint32 // only potential non-root members are stacked
 	frames      []frame
 	nextIdx     uint32
 	res         *Result
 }
 
-// Nuutila computes the SCCs reachable from roots using Nuutila and
-// Soisalon-Soininen's variant of Tarjan's algorithm, which keeps only
-// candidate component members on the explicit stack. If roots is nil, all
-// nodes are used as roots.
+// Nuutila computes the SCCs reachable from roots with a fresh Searcher.
+// If roots is nil, all nodes are used as roots.
 func Nuutila(n int, roots []uint32, succs Succs) *Result {
-	s := &nuutilaState{
-		succs:       succs,
-		index:       make([]uint32, n),
-		root:        make([]uint32, n),
-		inComponent: make([]bool, n),
-		res:         &Result{},
+	var s Searcher
+	return s.Search(n, roots, succs)
+}
+
+// Search computes the SCCs reachable from roots in a graph with nodes
+// 0..n-1. If roots is nil, all nodes are used as roots. The result is the
+// same as Nuutila's on the same arguments, and owned by the caller.
+func (s *Searcher) Search(n int, roots []uint32, succs Succs) *Result {
+	for _, v := range s.touched {
+		s.index[v] = unvisited
+		s.inComponent[v] = false
 	}
+	s.touched, s.stack, s.frames = s.touched[:0], s.stack[:0], s.frames[:0]
+	if n > len(s.index) {
+		s.index = append(s.index, make([]uint32, n-len(s.index))...)
+		s.root = append(s.root, make([]uint32, n-len(s.root))...)
+		s.inComponent = append(s.inComponent, make([]bool, n-len(s.inComponent))...)
+	}
+	s.succs, s.nextIdx, s.res = succs, 0, &Result{}
 	if roots == nil {
 		for v := 0; v < n; v++ {
 			if s.index[v] == unvisited {
@@ -168,18 +193,21 @@ func Nuutila(n int, roots []uint32, succs Succs) *Result {
 			}
 		}
 	}
-	return s.res
+	res := s.res
+	s.succs, s.res = nil, nil // drop the caller's closure and result
+	return res
 }
 
-func (s *nuutilaState) push(v uint32) {
+func (s *Searcher) push(v uint32) {
 	s.nextIdx++
 	s.index[v] = s.nextIdx
 	s.root[v] = v
+	s.touched = append(s.touched, v)
 	s.frames = append(s.frames, frame{v: v, out: s.succs(v)})
 	s.res.Visited++
 }
 
-func (s *nuutilaState) visit(start uint32) {
+func (s *Searcher) visit(start uint32) {
 	s.push(start)
 	for len(s.frames) > 0 {
 		f := &s.frames[len(s.frames)-1]
@@ -196,6 +224,7 @@ func (s *nuutilaState) visit(start uint32) {
 			continue
 		}
 		v := f.v
+		f.out = nil // the frame array outlives the search; drop the caller's slice
 		s.frames = s.frames[:len(s.frames)-1]
 		if s.root[v] == v {
 			s.inComponent[v] = true

@@ -3,6 +3,7 @@ package scc
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -180,6 +181,72 @@ func TestQuickTarjanNuutilaAgree(t *testing.T) {
 	}
 }
 
+// TestSearcherReuse runs one Searcher over a sequence of random graphs
+// whose node count grows, shrinks and grows again, from random root
+// subsets. The entries a search leaves behind must never leak into the
+// next one: every search returns exactly what a fresh search returns, and
+// the same partition as Tarjan's.
+func TestSearcherReuse(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var s Searcher
+		n := 1 + rng.Intn(8)
+		for call := 0; call < 20; call++ {
+			switch rng.Intn(3) {
+			case 0:
+				n += rng.Intn(40) // grow past the arrays sized so far
+			case 1:
+				n = 1 + rng.Intn(n) // a smaller universe reuses a prefix
+			}
+			edges := randomGraph(rng, n, rng.Intn(3*n+1))
+			var roots []uint32
+			if rng.Intn(4) > 0 {
+				for i := rng.Intn(4); i >= 0; i-- {
+					roots = append(roots, uint32(rng.Intn(n)))
+				}
+			}
+			adj := adjacency(n, edges)
+			got := s.Search(n, roots, adj)
+			want := Nuutila(n, roots, adj)
+			if got.Visited != want.Visited || !reflect.DeepEqual(got.Comps, want.Comps) {
+				t.Logf("seed %d call %d n=%d roots=%v: got %+v, want %+v", seed, call, n, roots, got, want)
+				return false
+			}
+			tr := Tarjan(n, roots, adj)
+			if got.Visited != tr.Visited || !reflect.DeepEqual(canonical(got.Comps), canonical(tr.Comps)) {
+				t.Logf("seed %d call %d n=%d roots=%v: partition differs from Tarjan", seed, call, n, roots)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSearcherCostIsVisited pins the point of reuse: once its arrays are
+// sized, a Searcher's small search over a million-node universe allocates
+// only for its result, not for per-node state.
+func TestSearcherCostIsVisited(t *testing.T) {
+	const n, runs = 1 << 20, 50
+	adj := adjacency(n, [][2]uint32{{0, 1}, {1, 2}, {2, 0}})
+	roots := []uint32{0}
+	var s Searcher
+	s.Search(n, roots, adj) // size the arrays once
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if r := s.Search(n, roots, adj); r.Visited != 3 || len(r.Comps) != 1 {
+			t.Fatalf("search = %+v", r)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perSearch := (after.TotalAlloc - before.TotalAlloc) / runs; perSearch > 1024 {
+		t.Fatalf("a 3-node search over %d nodes allocates %d bytes, want ≤ 1024", n, perSearch)
+	}
+}
+
 // TestReverseTopologicalOrder verifies the documented emission order: for
 // every edge u -> v crossing components, v's component is emitted first.
 func TestReverseTopologicalOrder(t *testing.T) {
@@ -219,6 +286,18 @@ func TestTopoOrderHelper(t *testing.T) {
 	}
 	if !(pos[0] < pos[1] && pos[1] < pos[2]) {
 		t.Errorf("TopoOrder = %v, want 0 before 1 before 2", order)
+	}
+}
+
+// BenchmarkSearcherSmall measures the Lazy Cycle Detection shape: a
+// search that visits a few nodes of a large graph.
+func BenchmarkSearcherSmall(b *testing.B) {
+	const n = 1 << 16
+	adj := adjacency(n, [][2]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
+	var s Searcher
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Search(n, []uint32{0}, adj)
 	}
 }
 

@@ -21,6 +21,8 @@
 #                and the memo property/fuzz-seed replays under -race, then
 #                antsolve -memo end-to-end — sequential and at 4 workers —
 #                with the solutions diffed against plain solving)
+#   paper-smoke — stage 13 (ghostscript at paper size, lcd+hcd solved
+#                sequentially and with -workers 2, solutions compared)
 #
 # The stages:
 #   1. a gofmt gate (fails listing any unformatted file);
@@ -71,19 +73,26 @@
 #      payloads concurrently, so a mutating Hash surfaces here), then an
 #      end-to-end antsolve run — the same workload solved plain, with
 #      -memo, and with -memo -workers 4, gating on byte-identical
-#      points-to solutions.
+#      points-to solutions;
+#  13. the paper-size smoke: ghostscript generated at scale 1.0 (67k
+#      constraints) and solved with lcd+hcd sequentially and with
+#      -workers 2, gating on identical points-to solutions. Each solve
+#      runs under -timeout 60s, which guards against hangs only — the
+#      sequential solve takes well under a second — and is not a
+#      performance gate.
 #
 # /bin/sh has no pipefail, so every stage below is a plain command (or
-# a command substitution) — never a pipeline — and set -e stops the
-# script the moment any stage exits non-zero.
+# a command substitution) — never a pipeline, except stage 13's, which
+# records its solver's exit status itself — and set -e stops the script
+# the moment any stage exits non-zero.
 set -eu
 cd "$(dirname "$0")/.."
 
 stage="${1:-all}"
 case "$stage" in
-all | static | test | race | serve | gofrontend | async | memo) ;;
+all | static | test | race | serve | gofrontend | async | memo | paper-smoke) ;;
 *)
-	echo "usage: check.sh [all|static|test|race|serve|gofrontend|async|memo]" >&2
+	echo "usage: check.sh [all|static|test|race|serve|gofrontend|async|memo|paper-smoke]" >&2
 	exit 2
 	;;
 esac
@@ -283,6 +292,52 @@ if want memo; then
 		fi
 	done
 	echo "memo solutions match plain ($(wc -l <"$memodir/plain.sol") non-empty sets)"
+fi
+
+if want paper-smoke; then
+	echo "==> paper-smoke: ghostscript@1.0 lcd+hcd, sequential vs -workers 2"
+	paperdir=$(mktemp -d "${TMPDIR:-/tmp}/antgrass-paper.XXXXXX")
+	cleanup_paper() {
+		rm -rf "$paperdir"
+		if [ -n "${tmpcache:-}" ]; then
+			rm -rf "$tmpcache"
+		fi
+	}
+	# Replaces the earlier throwaway-GOCACHE trap, so it also removes
+	# $tmpcache when that branch was taken.
+	trap cleanup_paper EXIT INT TERM
+	go build -o "$paperdir/antsynth" ./cmd/antsynth
+	go build -o "$paperdir/antsolve" ./cmd/antsolve
+	"$paperdir/antsynth" -bench ghostscript -scale 1.0 -o "$paperdir/prog.constraints"
+	for workers in 1 2; do
+		# The printed solution is ~500 MB, so it is digested as it streams
+		# instead of stored. Only the solution lines ("name -> {...}") are
+		# compared: the headers carry the solve time and the analytic
+		# memory figure, which legitimately differ between engines. A
+		# pipeline hides the solver's exit status, so it goes to a file
+		# that is checked below.
+		{
+			status=0
+			"$paperdir/antsolve" -alg lcd -hcd -workers "$workers" -timeout 60s \
+				-print "$paperdir/prog.constraints" || status=$?
+			echo "$status" >"$paperdir/status.$workers"
+		} | grep ' -> {' | cksum >"$paperdir/sum.$workers"
+		if [ "$(cat "$paperdir/status.$workers")" != 0 ]; then
+			echo "paper-smoke: antsolve -workers $workers failed" >&2
+			exit 1
+		fi
+	done
+	read -r crc size <"$paperdir/sum.1"
+	if [ "$size" = 0 ]; then
+		echo "paper-smoke: the sequential solve printed no solution" >&2
+		exit 1
+	fi
+	if [ "$(cat "$paperdir/sum.1")" != "$(cat "$paperdir/sum.2")" ]; then
+		echo "paper-smoke: -workers 2 solution differs from sequential" \
+			"(cksum $(cat "$paperdir/sum.2") vs $(cat "$paperdir/sum.1"))" >&2
+		exit 1
+	fi
+	echo "paper-smoke: -workers 2 solution matches sequential ($size bytes, cksum $crc)"
 fi
 
 echo "OK"
