@@ -102,7 +102,7 @@ type Options struct {
 	// Algorithm selects the solver; empty means LCD.
 	Algorithm Algorithm
 	// HCD enables Hybrid Cycle Detection (the paper's second
-	// contribution): a linear-time offline pass whose table lets the
+	// contribution): a near-linear offline pass whose table lets the
 	// online solver collapse cycles without graph traversal. LCD+HCD
 	// is the paper's headline configuration.
 	HCD bool

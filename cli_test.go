@@ -70,7 +70,7 @@ void main(void) { sel = pick; result = sel(1); }
 	if !strings.Contains(out, "g1") || !strings.Contains(out, "g2") {
 		t.Errorf("pts(result) should name g1 and g2:\n%s", out)
 	}
-	if !strings.Contains(out, "nodes collapsed") {
+	if !strings.Contains(out, "nodes collapsed") || !strings.Contains(out, "hcd pairs:") {
 		t.Errorf("stats block missing:\n%s", out)
 	}
 

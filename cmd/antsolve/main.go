@@ -198,6 +198,7 @@ func main() {
 		fmt.Printf("hcd collapses:    %d\n", s.HCDCollapses)
 		if *hcd {
 			fmt.Printf("hcd offline time: %v\n", s.OfflineDuration)
+			fmt.Printf("hcd pairs:        %d\n", s.HCDPairs)
 		}
 	}
 	if reg != nil {

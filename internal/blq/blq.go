@@ -121,6 +121,7 @@ func Solve(p *constraint.Program, opts core.Options) (*core.Result, error) {
 			opts.Metrics.AddPhase(metrics.PhaseHCD, table.Duration)
 		}
 		s.stats.OfflineDuration = table.Duration
+		s.stats.HCDPairs = len(table.Pairs)
 		preSpan := opts.Metrics.StartPhase(metrics.PhaseBuild)
 		for _, pu := range table.PreUnions {
 			rep, lost := s.nodes.Union(pu[0], pu[1])

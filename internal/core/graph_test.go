@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -218,5 +219,45 @@ func TestReversedGraphOrientation(t *testing.T) {
 	}
 	if got := g.succsOf(a); len(got) != 0 {
 		t.Errorf("reversed adjacency of a = %v, want empty", got)
+	}
+}
+
+// TestStatsHCDPairs: Stats.HCDPairs reports the size of the table the
+// solve used, whether the solve computed it or was handed one, on the
+// sequential, async and resumable paths alike.
+func TestStatsHCDPairs(t *testing.T) {
+	p := constraint.NewProgram()
+	o := p.AddVar("o")
+	a := p.AddVar("a")
+	b := p.AddVar("b")
+	c := p.AddVar("c")
+	p.AddAddrOf(a, b)
+	p.AddAddrOf(b, o)
+	p.AddLoad(c, a, 0)  // ref(a) → c
+	p.AddStore(a, c, 0) // c → ref(a): one pair, (a, c)
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want int
+	}{
+		{"computed", Options{Algorithm: LCD, WithHCD: true}, 1},
+		{"precomputed empty", Options{Algorithm: LCD, WithHCD: true, HCDTable: &hcd.Result{}}, 0},
+		{"async", Options{Algorithm: LCD, WithHCD: true, Workers: 2}, 1},
+		{"no hcd", Options{Algorithm: LCD}, 0},
+	} {
+		r, err := Solve(p, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Stats.HCDPairs != tc.want {
+			t.Errorf("%s: HCDPairs = %d, want %d", tc.name, r.Stats.HCDPairs, tc.want)
+		}
+	}
+	l, err := NewLive(context.Background(), p, Options{Algorithm: LCD, WithHCD: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Stats().HCDPairs; got != 1 {
+		t.Errorf("live: HCDPairs = %d, want 1", got)
 	}
 }

@@ -98,6 +98,7 @@ func NewLive(ctx context.Context, p *constraint.Program, opts Options) (*Live, e
 	g.metrics = m
 	if opts.WithHCD && table != nil {
 		g.stats.OfflineDuration = table.Duration
+		g.stats.HCDPairs = len(table.Pairs)
 	}
 	l := &Live{prog: p, opts: opts, g: g}
 	l.st = newBasicState(g, opts, opts.Algorithm == LCD)

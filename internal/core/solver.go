@@ -210,6 +210,9 @@ type Stats struct {
 	// OfflineDuration is the HCD offline analysis time, reported
 	// separately as in Table 3.
 	OfflineDuration time.Duration
+	// HCDPairs is the number of offline tuples (a, b) in the HCD table
+	// the solve used, computed in the solve or precomputed.
+	HCDPairs int
 	// SolveDuration is the online analysis wall-clock time.
 	SolveDuration time.Duration
 	// MemBytes is the analytic memory footprint of the final solver
@@ -302,6 +305,7 @@ func SolveContext(ctx context.Context, p *constraint.Program, opts Options) (*Re
 	g.metrics = m
 	if opts.WithHCD && table != nil {
 		g.stats.OfflineDuration = table.Duration
+		g.stats.HCDPairs = len(table.Pairs)
 	}
 	parallel := (opts.Algorithm == Naive || opts.Algorithm == LCD) && useAsync(opts)
 	start := time.Now()
@@ -448,6 +452,7 @@ func (s *Stats) Export(m *metrics.Registry) {
 	m.SetCounter("edge_probes", s.EdgeProbes)
 	m.SetCounter("cycle_checks", s.CycleChecks)
 	m.SetCounter("hcd_collapses", s.HCDCollapses)
+	m.SetCounter("hcd_pairs", int64(s.HCDPairs))
 	m.SetCounter("rounds", s.Rounds)
 	m.SetCounter("workers", int64(s.Workers))
 	m.SetCounter("mem_bytes", s.MemBytes)

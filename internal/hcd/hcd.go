@@ -1,6 +1,8 @@
 // Package hcd implements the offline half of Hybrid Cycle Detection
-// (§4.2 of the paper), a linear-time static analysis run before the pointer
-// analysis proper.
+// (§4.2 of the paper), a static analysis run before the pointer analysis
+// proper. Building the offline graph and finding its SCCs is linear;
+// licensing the pairs of a mixed SCC with V var members, E edges among
+// them and R ref members costs O((V+E)·⌈R/64⌉) (see pairsForSCC).
 //
 // The offline constraint graph has one node per program variable plus one
 // "ref" node per variable (standing for the variable's unknown points-to
@@ -49,6 +51,8 @@
 package hcd
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -107,6 +111,7 @@ func Analyze(p *constraint.Program) *Result {
 		}
 	}
 	res := &Result{}
+	var local []uint32 // pairsForSCC's scratch, allocated on first use
 	sccRes := scc.Tarjan(int(2*n), nil, func(x uint32) []uint32 { return adj[x] })
 	for _, comp := range sccRes.Comps {
 		if len(comp) < 2 {
@@ -135,7 +140,10 @@ func Analyze(p *constraint.Program) *Result {
 			// anyway.
 			continue
 		}
-		res.pairsForSCC(n, adj, vars, refs)
+		if local == nil {
+			local = make([]uint32, 2*n)
+		}
+		res.pairsForSCC(n, adj, local, vars, refs)
 		// The non-ref members of a mixed SCC are NOT collapsed
 		// offline: their mutual cycle only materializes online if the
 		// ref's points-to set turns out non-empty, and collapsing
@@ -151,73 +159,111 @@ func Analyze(p *constraint.Program) *Result {
 // cycle with ref(a) in the subgraph restricted to the SCC's var members
 // plus ref(a) itself (no other ref nodes). Refs with no such cycle emit
 // nothing — their cycles are conditional on another ref's points-to set.
-func (res *Result) pairsForSCC(n uint32, adj [][]uint32, vars, refs []uint32) {
-	// local index of the SCC's var members
-	idx := make(map[uint32]int, len(vars))
+//
+// b qualifies iff it is reachable from a load target of ref(a) and reaches
+// a store source of ref(a), both through var members only. Instead of two
+// walks per ref, the var-only subgraph is condensed once and each sweep
+// over it answers 64 refs, one bit per ref: a var-only component is
+// reached, and reaches, as a whole, so one word per component decides all
+// its members. The cost is O((V+E)·⌈R/64⌉) for V var members, E edges
+// among them and R ref members.
+//
+// local is scratch over the offline graph's nodes, all zero on entry and
+// on return.
+func (res *Result) pairsForSCC(n uint32, adj [][]uint32, local []uint32, vars, refs []uint32) {
+	// Local indices follow var ids, so the first qualifying var in index
+	// order is the smallest.
+	slices.Sort(vars)
 	for i, v := range vars {
-		idx[v] = i
+		local[v] = uint32(i) + 1
 	}
-	// fwd/rev: var→var edges within the SCC, by local index.
-	fwd := make([][]int, len(vars))
-	rev := make([][]int, len(vars))
-	// refOut[a] / refIn[a]: SCC var members with an edge from / to
-	// ref(a), i.e. the SCC's loads of *a and stores into *a.
-	refOut := make(map[uint32][]int, len(refs))
-	refIn := make(map[uint32][]int, len(refs))
-	isRef := make(map[uint32]bool, len(refs))
-	for _, a := range refs {
-		isRef[a] = true
+	for j, a := range refs {
+		local[n+a] = uint32(j) + 1
 	}
+	// The var-only subgraph by local index (succ[off[i]:off[i+1]] are
+	// var i's successors), and the SCC's stores as (var, ref) pairs.
+	off := make([]uint32, len(vars)+1)
+	var succ []uint32
+	var stores [][2]uint32
 	for i, v := range vars {
 		for _, w := range adj[v] {
-			if w < n {
-				if j, ok := idx[w]; ok {
-					fwd[i] = append(fwd[i], j)
-					rev[j] = append(rev[j], i)
+			switch k := local[w]; {
+			case k == 0: // outside the SCC
+			case w < n:
+				succ = append(succ, k-1)
+			default:
+				stores = append(stores, [2]uint32{uint32(i), k - 1})
+			}
+		}
+		off[i+1] = uint32(len(succ))
+	}
+	succs := func(i uint32) []uint32 { return succ[off[i]:off[i+1]] }
+	// Comps is in reverse topological order: an edge's target component
+	// never has a larger number than its source's.
+	comps := scc.Tarjan(len(vars), nil, succs).Comps
+	comp := make([]uint32, len(vars))
+	for c, members := range comps {
+		for _, i := range members {
+			comp[i] = uint32(c)
+		}
+	}
+	// from[c] / to[c]: bit j-lo set iff component c is reachable from a
+	// load target of ref(refs[j]) / reaches a store source of it.
+	from := make([]uint64, len(comps))
+	to := make([]uint64, len(comps))
+	for lo := 0; lo < len(refs); lo += 64 {
+		hi := min(lo+64, len(refs))
+		clear(from)
+		clear(to)
+		for j := lo; j < hi; j++ {
+			for _, w := range adj[n+refs[j]] {
+				if i := local[w]; i != 0 {
+					from[comp[i-1]] |= 1 << (j - lo)
 				}
-			} else if isRef[w-n] {
-				refIn[w-n] = append(refIn[w-n], i)
 			}
 		}
-	}
-	for _, a := range refs {
-		for _, w := range adj[n+a] {
-			if j, ok := idx[w]; ok {
-				refOut[a] = append(refOut[a], j)
+		for _, s := range stores {
+			if j := int(s[1]); lo <= j && j < hi {
+				to[comp[s[0]]] |= 1 << (j - lo)
 			}
 		}
-	}
-	reach := func(starts []int, edges [][]int) []bool {
-		seen := make([]bool, len(vars))
-		stack := append([]int(nil), starts...)
-		for _, s := range starts {
-			seen[s] = true
-		}
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, y := range edges[x] {
-				if !seen[y] {
-					seen[y] = true
-					stack = append(stack, y)
+		// from flows along edges, so sources first; to flows against
+		// them, so sinks first.
+		for c := len(comps) - 1; c >= 0; c-- {
+			if from[c] == 0 {
+				continue
+			}
+			for _, i := range comps[c] {
+				for _, k := range succs(i) {
+					from[comp[k]] |= from[c]
 				}
 			}
 		}
-		return seen
-	}
-	for _, a := range refs {
-		// Vars reachable from ref(a), and vars reaching ref(a),
-		// through var members only.
-		from := reach(refOut[a], fwd)
-		to := reach(refIn[a], rev)
-		best, found := uint32(0), false
+		for c := range comps {
+			for _, i := range comps[c] {
+				for _, k := range succs(i) {
+					to[c] |= to[comp[k]]
+				}
+			}
+		}
+		// Each ref's target is the first var, in id order, whose
+		// component carries its bit in both words.
+		open := ^uint64(0) >> (64 - (hi - lo))
 		for i, v := range vars {
-			if from[i] && to[i] && (!found || v < best) {
-				best, found = v, true
+			hit := from[comp[i]] & to[comp[i]] & open
+			open &^= hit
+			for ; hit != 0; hit &= hit - 1 {
+				res.Pairs = append(res.Pairs, Pair{Deref: refs[lo+bits.TrailingZeros64(hit)], Target: v})
+			}
+			if open == 0 {
+				break
 			}
 		}
-		if found {
-			res.Pairs = append(res.Pairs, Pair{Deref: a, Target: best})
-		}
+	}
+	for _, v := range vars {
+		local[v] = 0
+	}
+	for _, a := range refs {
+		local[n+a] = 0
 	}
 }

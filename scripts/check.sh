@@ -74,12 +74,14 @@
 #      end-to-end antsolve run — the same workload solved plain, with
 #      -memo, and with -memo -workers 4, gating on byte-identical
 #      points-to solutions;
-#  13. the paper-size smoke: ghostscript generated at scale 1.0 (67k
-#      constraints) and solved with lcd+hcd sequentially and with
-#      -workers 2, gating on identical points-to solutions. Each solve
-#      runs under -timeout 60s, which guards against hangs only — the
-#      sequential solve takes well under a second — and is not a
-#      performance gate.
+#  13. the paper-size smoke: TestPaperScalePairs by name (the HCD
+#      offline pass on all six profiles at scale 1.0, checked pair for
+#      pair against the two-walk reference), then ghostscript generated
+#      at scale 1.0 (67k constraints) and solved with lcd+hcd
+#      sequentially and with -workers 2, gating on identical points-to
+#      solutions. Each solve runs under -timeout 60s, which guards
+#      against hangs only — the sequential solve takes well under a
+#      second — and is not a performance gate.
 #
 # /bin/sh has no pipefail, so every stage below is a plain command (or
 # a command substitution) — never a pipeline, except stage 13's, which
@@ -295,6 +297,8 @@ if want memo; then
 fi
 
 if want paper-smoke; then
+	echo "==> paper-smoke: HCD offline pairs at scale 1.0 vs the two-walk reference"
+	go test -count=1 -run '^TestPaperScalePairs$' ./internal/hcd
 	echo "==> paper-smoke: ghostscript@1.0 lcd+hcd, sequential vs -workers 2"
 	paperdir=$(mktemp -d "${TMPDIR:-/tmp}/antgrass-paper.XXXXXX")
 	cleanup_paper() {
