@@ -303,6 +303,8 @@ func solveOnce(ctx context.Context, p *Program, o Options) (*core.Result, offlin
 	if o.OVS {
 		red := ovs.Reduce(prog)
 		o.Metrics.AddPhase(metrics.PhaseOVS, red.Duration)
+		o.Metrics.SetCounter("ovs_merged_vars", int64(red.MergedVars))
+		o.Metrics.SetCounter("ovs_dropped_constraints", int64(red.Before-red.After))
 		off.ovs = red
 		prog = red.Reduced
 		preUnions = append(preUnions, red.PreUnions...)

@@ -100,12 +100,19 @@ func TestUnknownAlgorithm(t *testing.T) {
 
 func TestOVSStatsExposed(t *testing.T) {
 	w, _ := Workload("gimp", 0.01)
-	r, err := Solve(context.Background(), w, Options{Algorithm: LCD, OVS: true})
+	m := NewMetrics()
+	r, err := Solve(context.Background(), w, Options{Algorithm: LCD, OVS: true, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.OVSStats == nil || r.OVSStats.After > r.OVSStats.Before {
-		t.Errorf("OVS stats missing or nonsensical: %+v", r.OVSStats)
+	if r.OVSStats == nil || r.OVSStats.After > r.OVSStats.Before || r.OVSStats.MergedVars == 0 {
+		t.Fatalf("OVS stats missing or nonsensical: %+v", r.OVSStats)
+	}
+	if got := m.Counter("ovs_merged_vars").Value(); got != int64(r.OVSStats.MergedVars) {
+		t.Errorf("ovs_merged_vars = %d, want %d", got, r.OVSStats.MergedVars)
+	}
+	if got, want := m.Counter("ovs_dropped_constraints").Value(), int64(r.OVSStats.Before-r.OVSStats.After); got != want {
+		t.Errorf("ovs_dropped_constraints = %d, want %d", got, want)
 	}
 	if r2, _ := Solve(context.Background(), w, Options{Algorithm: LCD}); r2.OVSStats != nil {
 		t.Error("OVSStats must be nil when OVS is off")

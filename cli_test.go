@@ -78,7 +78,7 @@ void main(void) { sel = pick; result = sel(1); }
 	wfile := filepath.Join(dir, "w.constraints")
 	run(t, antsynth, "-bench", "emacs", "-scale", "0.02", "-o", wfile)
 	out, _ = run(t, antsolve, "-alg", "pkh", "-ovs", wfile)
-	if !strings.Contains(out, "ovs:") {
+	if !strings.Contains(out, "ovs:") || !strings.Contains(out, "vars merged") {
 		t.Errorf("antsolve -ovs output missing reduction line:\n%s", out)
 	}
 	if !strings.Contains(out, "solved") {

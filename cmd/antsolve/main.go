@@ -185,8 +185,9 @@ func main() {
 			res.HUStats.MergedVars, res.HUStats.Duration)
 	}
 	if res.OVSStats != nil {
-		fmt.Printf("ovs: %d -> %d constraints (%.0f%% reduction) in %v\n",
-			res.OVSStats.Before, res.OVSStats.After, res.OVSStats.ReductionPercent(), res.OVSStats.Duration)
+		fmt.Printf("ovs: %d -> %d constraints (%.0f%% reduction, %d vars merged) in %v\n",
+			res.OVSStats.Before, res.OVSStats.After, res.OVSStats.ReductionPercent(),
+			res.OVSStats.MergedVars, res.OVSStats.Duration)
 	}
 	if *stats {
 		fmt.Printf("nodes collapsed:  %d\n", s.NodesCollapsed)

@@ -112,7 +112,16 @@ func Analyze(p *constraint.Program) *Result {
 	}
 	res := &Result{}
 	var local []uint32 // pairsForSCC's scratch, allocated on first use
-	sccRes := scc.Tarjan(int(2*n), nil, func(x uint32) []uint32 { return adj[x] })
+	// A node without out-edges is a trivial component unless an edge
+	// reaches it, so the nodes with out-edges are the only roots needed.
+	// The non-nil slice keeps Tarjan from rooting at every node.
+	roots := make([]uint32, 0)
+	for x, out := range adj {
+		if len(out) > 0 {
+			roots = append(roots, uint32(x))
+		}
+	}
+	sccRes := scc.Tarjan(int(2*n), roots, func(x uint32) []uint32 { return adj[x] })
 	for _, comp := range sccRes.Comps {
 		if len(comp) < 2 {
 			continue

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"antgrass/internal/constraint"
+	"antgrass/internal/hvn"
 	"antgrass/internal/scc"
 	"antgrass/internal/synth"
 )
@@ -257,6 +258,22 @@ func TestPaperScalePairs(t *testing.T) {
 	for _, prof := range synth.PaperProfiles {
 		_, mixed := checkLockstep(t, prof.Name, synth.Generate(prof))
 		t.Logf("%s: %d mixed SCCs, the largest with %d refs", prof.Name, len(mixed), slices.Max(mixed))
+	}
+}
+
+// TestPaperScaleOffline: on the output of the HVN → HU → OVS ladder over
+// all six paper profiles at full size — the program the fast pipeline
+// hands to HCD — Analyze agrees with the two-walk reference.
+// (internal/hvn's test of the same name checks the ladder's passes.)
+func TestPaperScaleOffline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale programs")
+	}
+	for _, prof := range synth.PaperProfiles {
+		p := hvn.Reduce(synth.Generate(prof), false).Reduced
+		p = hvn.ReduceOVS(hvn.Reduce(p, true).Reduced).Reduced
+		got, _ := checkLockstep(t, prof.Name, p)
+		t.Logf("%s: %d constraints after OVS, %d pairs, %d SCCs", prof.Name, len(p.Constraints), len(got.Pairs), got.SCCs)
 	}
 }
 

@@ -49,19 +49,39 @@
 // reached directly and through an intermediate copy compare equal, which
 // HVN's unevaluated sets cannot see.
 //
-// Reduce rewrites the constraints through the unification map exactly like
-// internal/ovs (whose pass runs downstream and composes through the same
-// PreUnions mechanism) and reports merged-variable / dropped-constraint
-// counts for the metrics and bench layers.
+// Reduce rewrites the constraints through the unification map and reports
+// merged-variable / dropped-constraint counts for the metrics and bench
+// layers. ReduceOVS is the same pass without the implicit ref edges, which
+// is the Offline Variable Substitution that internal/ovs runs downstream;
+// all three compose through the same PreUnions mechanism.
+//
+// # Cost
+//
+// A pass costs O(n + constraints) in flat arrays. The offline graph is
+// built in compressed sparse row form (scc.Graph). After HVN the input is
+// a tenth of the original constraints over the same variable universe, so
+// most nodes have no edges at all: such a node is a singleton component
+// whose label is local (fresh if indirect, else ∅) and needs no search,
+// so only nodes with out-edges root the SCC search. A component's
+// distinct predecessor labels are collected in one reused buffer under a
+// per-label stamp. HU keeps one interned set per label, not per node: a
+// component with no atom of its own and one distinct non-empty
+// predecessor set shares that set and its label, and copies it only when
+// a second set is unioned in, so a shared set is never mutated.
+//
+// Only the partition is observable. Label values and atom numbers depend
+// on the search order, but a label's meaning does not: equal labels are
+// equal sets (hash-consed or interned), and a fresh label is equal to no
+// other. Groups are emitted in order of their first (smallest) member,
+// which leads, so Reduced and PreUnions depend on the partition alone.
 package hvn
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"antgrass/internal/bitmap"
 	"antgrass/internal/constraint"
-	"antgrass/internal/hcd"
 	"antgrass/internal/scc"
 )
 
@@ -88,12 +108,6 @@ type Result struct {
 	HU bool
 	// Duration is the pass's wall-clock time.
 	Duration time.Duration
-}
-
-// PreUnionTable wraps the pre-unions in an hcd.Result so they can be
-// handed to any solver through its HCD-table hook (with no online pairs).
-func (r *Result) PreUnionTable() *hcd.Result {
-	return &hcd.Result{PreUnions: r.PreUnions}
 }
 
 // ReductionPercent returns the percentage of constraints eliminated.
@@ -136,17 +150,19 @@ type consEntry struct {
 	label int32
 }
 
-// setEntry is one HU intern-table bucket member.
-type setEntry struct {
-	set   *bitmap.Bitmap
-	label int32
-}
-
 // Reduce runs one value-numbering pass on p (HVN when hu is false, HU when
 // true). p is not modified. Passes compose: feeding one pass's Reduced
 // program to the next and concatenating their PreUnions preserves the
 // solution of the original program over the original variable ids.
-func Reduce(p *constraint.Program, hu bool) *Result {
+func Reduce(p *constraint.Program, hu bool) *Result { return reduce(p, hu, true) }
+
+// ReduceOVS runs Offline Variable Substitution, the pass behind
+// internal/ovs: HVN's labeling on the graph without the implicit edges
+// ref(b) → ref(a) of copies a = b, so every ref node is a singleton
+// component with a fresh label.
+func ReduceOVS(p *constraint.Program) *Result { return reduce(p, false, false) }
+
+func reduce(p *constraint.Program, hu, implicit bool) *Result {
 	start := time.Now()
 	n := uint32(p.NumVars)
 	total := 3 * n // v, ref(v) = n+v, adr(v) = 2n+v
@@ -164,206 +180,126 @@ func Reduce(p *constraint.Program, hu bool) *Result {
 			}
 		}
 	}
-	succs := make([][]uint32, total)
-	preds := make([][]uint32, total)
-	addEdge := func(from, to uint32) {
-		succs[from] = append(succs[from], to)
-		preds[to] = append(preds[to], from)
-	}
 	for _, c := range p.Constraints {
-		switch c.Kind {
-		case constraint.AddrOf:
+		switch {
+		case c.Kind == constraint.AddrOf:
 			indirect[c.Src] = true // address-taken
-			addEdge(2*n+c.Src, c.Dst)
-		case constraint.Copy:
-			addEdge(c.Src, c.Dst)
-			addEdge(n+c.Src, n+c.Dst) // implicit
-		case constraint.Load:
-			if c.Offset == 0 {
-				addEdge(n+c.Src, c.Dst)
-			} else {
-				indirect[c.Dst] = true // unpredictable source
-			}
-		case constraint.Store:
-			// No offline edge; see the package comment.
+		case c.Kind == constraint.Load && c.Offset != 0:
+			indirect[c.Dst] = true // unpredictable source
 		}
 	}
-
-	// Condense and label in topological (predecessors-first) order.
-	comps := scc.Tarjan(int(total), nil, func(x uint32) []uint32 { return succs[x] })
-	label := make([]int32, total)
-	for i := range label {
-		label[i] = -1
-	}
-	nextLabel := int32(1)
-
-	cons := make(map[uint64][]consEntry) // HVN hash-cons table
-	consLabel := func(peSet map[int32]struct{}) int32 {
-		elems := make([]int32, 0, len(peSet))
-		for l := range peSet {
-			elems = append(elems, l)
-		}
-		sort.Slice(elems, func(i, j int) bool { return elems[i] < elems[j] })
-		h := labelSetHash(elems)
-		for _, e := range cons[h] {
-			if labelsEqual(e.elems, elems) {
-				return e.label
+	succ, pred := scc.NewGraphs(int(total), func(edge func(from, to uint32)) {
+		for _, c := range p.Constraints {
+			switch c.Kind {
+			case constraint.AddrOf:
+				edge(2*n+c.Src, c.Dst)
+			case constraint.Copy:
+				edge(c.Src, c.Dst)
+				if implicit {
+					edge(n+c.Src, n+c.Dst)
+				}
+			case constraint.Load:
+				if c.Offset == 0 {
+					edge(n+c.Src, c.Dst)
+				}
+			case constraint.Store:
+				// No offline edge; see the package comment.
 			}
 		}
-		l := nextLabel
-		nextLabel++
-		cons[h] = append(cons[h], consEntry{elems, l})
-		return l
-	}
+	})
 
-	var (
-		sets     []*bitmap.Bitmap      // HU per-node evaluated sets
-		interned map[uint64][]setEntry // HU intern table
-		nextAtom uint32                // HU atom namespace
-	)
+	lb := &labeler{
+		pred:  pred,
+		label: make([]int32, total),
+		stamp: make([]int32, total+1),
+		next:  1,
+	}
 	if hu {
-		sets = make([]*bitmap.Bitmap, total)
-		interned = make(map[uint64][]setEntry)
+		lb.interned = make(map[uint64][]int32)
+		lb.setOf = []*bitmap.Bitmap{nil} // ∅ has no set
+	} else {
+		lb.cons = make(map[uint64][]consEntry)
 	}
-	internSet := func(b *bitmap.Bitmap) int32 {
-		h := setHash(b)
-		for _, e := range interned[h] {
-			if e.set.Equal(b) {
-				return e.label
-			}
+	// A node without edges is a singleton component labeled without
+	// search: fresh if indirect, else ∅, the zero label. Only variables'
+	// labels are read afterwards, so isolated ref and adr nodes stay
+	// unlabeled.
+	for v := uint32(0); v < n; v++ {
+		if indirect[v] && len(succ.Succs(v)) == 0 && len(pred.Succs(v)) == 0 {
+			lb.label[v] = lb.fresh()
 		}
-		l := nextLabel
-		nextLabel++
-		interned[h] = append(interned[h], setEntry{b, l})
-		return l
 	}
-
-	for i := len(comps.Comps) - 1; i >= 0; i-- {
-		comp := comps.Comps[i]
-		// adr nodes have no predecessors, so they are always singleton
-		// components; each is its own location.
-		isAdr := comp[0] >= 2*n
-
-		if hu {
-			set := bitmap.New()
-			if isAdr {
-				set.Set(nextAtom) // the location atom for this adr node
-				nextAtom++
-			} else {
-				ind := false
-				for _, m := range comp {
-					if indirect[m] {
-						ind = true
-						break
-					}
-				}
-				if ind {
-					set.Set(nextAtom) // fresh: stands for the unseen part
-					nextAtom++
-				}
-				for _, m := range comp {
-					for _, pr := range preds[m] {
-						// Same-component predecessors are still nil:
-						// their final set is this one, so the union is
-						// a no-op. External predecessors are complete
-						// (reverse topological order).
-						if sets[pr] != nil {
-							set.IorWith(sets[pr])
-						}
-					}
-				}
-			}
-			l := emptyLabel
-			if !set.Empty() {
-				l = internSet(set)
-			}
-			for _, m := range comp {
-				sets[m] = set
-				label[m] = l
-			}
-			continue
+	// Every other node has an out-edge or is reached by one. A non-nil
+	// roots slice keeps Tarjan from rooting at every node.
+	roots := make([]uint32, 0)
+	for x := uint32(0); x < total; x++ {
+		if len(succ.Succs(x)) > 0 {
+			roots = append(roots, x)
 		}
-
-		// HVN.
-		if isAdr {
-			label[comp[0]] = nextLabel // unique location label
-			nextLabel++
-			continue
-		}
-		// Indirectness is contagious within a component.
-		ind := false
+	}
+	comps := scc.Tarjan(int(total), roots, succ.Succs).Comps
+	// Label in topological (predecessors-first) order.
+	for i := len(comps) - 1; i >= 0; i-- {
+		comp := comps[i]
+		// own: the component gets a fresh label (HVN) or atom (HU) of its
+		// own. adr nodes have no predecessors, so they are always
+		// singleton components; each is its own location. Indirectness
+		// is contagious within a component.
+		own := comp[0] >= 2*n
 		for _, m := range comp {
-			if indirect[m] {
-				ind = true
-				break
-			}
-		}
-		if ind {
-			l := nextLabel
-			nextLabel++
-			for _, m := range comp {
-				label[m] = l
-			}
-			continue
-		}
-		peSet := map[int32]struct{}{}
-		for _, m := range comp {
-			for _, pr := range preds[m] {
-				// Same-component preds still carry -1, and the empty
-				// label contributes nothing.
-				if l := label[pr]; l > emptyLabel {
-					peSet[l] = struct{}{}
-				}
-			}
+			own = own || indirect[m]
 		}
 		var l int32
-		switch len(peSet) {
-		case 0:
-			l = emptyLabel
-		case 1:
-			for only := range peSet {
-				l = only
-			}
+		switch {
+		case hu:
+			l = lb.evaluate(lb.predLabels(comp, int32(i+1)), own)
+		case own:
+			l = lb.fresh()
 		default:
-			l = consLabel(peSet)
+			l = lb.hashCons(lb.predLabels(comp, int32(i+1)))
 		}
 		for _, m := range comp {
-			label[m] = l
+			lb.label[m] = l
 		}
 	}
+	label := lb.label
 
 	// Unify variables (not refs/adrs) sharing a label, deterministically:
-	// groups are visited in order of their first member, and the first
-	// (smallest-id) member leads.
+	// the first (smallest-id) variable with a label leads its group, and
+	// groups are listed in order of their leaders.
 	res := &Result{Before: len(p.Constraints), HU: hu}
-	groups := make(map[int32][]uint32)
-	var order []int32
+	first := make([]uint32, lb.next) // by label: 1 + its first variable
+	rep := make([]uint32, n)
+	members := make([]uint32, n+1) // by leader, shifted by one: later members
 	for v := uint32(0); v < n; v++ {
+		rep[v] = v
 		l := label[v]
 		if l == emptyLabel {
 			res.NonPointerVars++
 			continue
 		}
-		if _, ok := groups[l]; !ok {
-			order = append(order, l)
-		}
-		groups[l] = append(groups[l], v)
-	}
-	rep := make([]uint32, n)
-	for v := range rep {
-		rep[v] = uint32(v)
-	}
-	for _, l := range order {
-		g := groups[l]
-		if len(g) < 2 {
+		if first[l] == 0 {
+			first[l] = v + 1
 			continue
 		}
-		for _, v := range g[1:] {
-			rep[v] = g[0]
-			res.PreUnions = append(res.PreUnions, [2]uint32{g[0], v})
-		}
-		res.MergedVars += len(g) - 1
+		rep[v] = first[l] - 1
+		members[rep[v]+1]++
 	}
+	// Counting sort by leader: members[r] becomes the start of r's group,
+	// filled in id order.
+	for v := uint32(0); v < n; v++ {
+		members[v+1] += members[v]
+	}
+	if k := members[n]; k > 0 {
+		res.PreUnions = make([][2]uint32, k)
+		for v := uint32(0); v < n; v++ {
+			if r := rep[v]; r != v {
+				res.PreUnions[members[r]] = [2]uint32{r, v}
+				members[r]++
+			}
+		}
+	}
+	res.MergedVars = len(res.PreUnions)
 
 	// Rewrite the constraints. AddrOf sources are locations, never
 	// rewritten: points-to sets keep original ids (and spans).
@@ -404,14 +340,110 @@ func Reduce(p *constraint.Program, hu bool) *Result {
 	return res
 }
 
-func labelsEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// labeler assigns pointer-equivalence labels to the components of one
+// offline graph, in topological order.
+type labeler struct {
+	pred  *scc.Graph
+	label []int32 // by node; ∅ until the node's component is labeled
+	next  int32   // the next fresh label
+	// stamp holds, by label, the stamp of the last component that
+	// collected it, so each distinct predecessor label is taken once.
+	stamp []int32
+	buf   []int32 // predLabels' result
+
+	cons map[uint64][]consEntry // HVN: label-set hash → entries
+
+	setOf    []*bitmap.Bitmap   // HU: by label, its interned set
+	interned map[uint64][]int32 // HU: set hash → labels
+	nextAtom uint32             // HU: the next fresh atom
+}
+
+func (lb *labeler) fresh() int32 {
+	l := lb.next
+	lb.next++
+	return l
+}
+
+// predLabels returns the distinct labels other than ∅ that reach comp,
+// in a buffer reused by the next call. Same-component predecessors are
+// still ∅ and contribute nothing; external ones are complete. stamp
+// must differ from every earlier component's.
+func (lb *labeler) predLabels(comp []uint32, stamp int32) []int32 {
+	lb.buf = lb.buf[:0]
+	for _, m := range comp {
+		for _, pr := range lb.pred.Succs(m) {
+			if l := lb.label[pr]; l != emptyLabel && lb.stamp[l] != stamp {
+				lb.stamp[l] = stamp
+				lb.buf = append(lb.buf, l)
+			}
 		}
 	}
-	return true
+	return lb.buf
+}
+
+// hashCons labels a direct HVN component by the set of labels reaching it:
+// ∅ for none, the one label for a singleton, and a hash-consed label
+// otherwise. It sorts labels in place.
+func (lb *labeler) hashCons(labels []int32) int32 {
+	switch len(labels) {
+	case 0:
+		return emptyLabel
+	case 1:
+		return labels[0]
+	}
+	slices.Sort(labels)
+	h := labelSetHash(labels)
+	for _, e := range lb.cons[h] {
+		if slices.Equal(e.elems, labels) {
+			return e.label
+		}
+	}
+	l := lb.fresh()
+	lb.cons[h] = append(lb.cons[h], consEntry{slices.Clone(labels), l})
+	return l
+}
+
+// evaluate labels an HU component by its evaluated set: a fresh atom of
+// its own if own is set (an adr node's location, or the unseen part of
+// an indirect component), plus the union of the sets of the labels
+// reaching it. A component with no atom and one such set shares that set
+// and its label; otherwise the union is built in a new set, so an
+// interned set is never mutated.
+func (lb *labeler) evaluate(labels []int32, own bool) int32 {
+	var set *bitmap.Bitmap
+	switch {
+	case own:
+		set = bitmap.New()
+		set.Set(lb.nextAtom)
+		lb.nextAtom++
+	case len(labels) == 0:
+		return emptyLabel
+	case len(labels) == 1:
+		return labels[0]
+	default:
+		set = lb.setOf[labels[0]].Copy()
+		labels = labels[1:]
+	}
+	for _, l := range labels {
+		set.IorWith(lb.setOf[l])
+	}
+	return lb.intern(set)
+}
+
+// intern returns the label of the set equal to b, registering b under a
+// fresh label if there is none.
+func (lb *labeler) intern(b *bitmap.Bitmap) int32 {
+	h := setHash(b)
+	for _, l := range lb.interned[h] {
+		if lb.setOf[l].Equal(b) {
+			return l
+		}
+	}
+	l := lb.fresh()
+	for int32(len(lb.setOf)) <= l {
+		lb.setOf = append(lb.setOf, nil)
+	}
+	lb.setOf[l] = b
+	lb.interned[h] = append(lb.interned[h], l)
+	return l
 }

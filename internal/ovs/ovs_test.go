@@ -9,6 +9,8 @@ import (
 
 	"antgrass/internal/constraint"
 	"antgrass/internal/core"
+	"antgrass/internal/hvn"
+	"antgrass/internal/synth"
 )
 
 // solveWithPreUnions solves a (possibly reduced) program after applying the
@@ -228,5 +230,47 @@ func TestReductionPercent(t *testing.T) {
 	}
 	if (&Result{}).ReductionPercent() != 0 {
 		t.Error("empty result should report 0")
+	}
+}
+
+// TestDeterministicPreUnions: reducing one program with many groups
+// yields the same pre-unions every time, groups in order of their leader
+// (first member), which is the order HVN uses.
+func TestDeterministicPreUnions(t *testing.T) {
+	p := constraint.NewProgram()
+	for i := 0; i < 300; i++ {
+		x := p.AddVar(fmt.Sprintf("x%d", i))
+		a := p.AddVar(fmt.Sprintf("a%d", i))
+		b := p.AddVar(fmt.Sprintf("b%d", i))
+		p.AddAddrOf(a, x)
+		p.AddAddrOf(b, x)
+	}
+	first := Reduce(p).PreUnions
+	if len(first) != 300 {
+		t.Fatalf("got %d pre-unions, want 300", len(first))
+	}
+	for i := 1; i < len(first); i++ {
+		if first[i][0] < first[i-1][0] {
+			t.Fatalf("pre-union %d %v follows %v: leaders out of order", i, first[i], first[i-1])
+		}
+	}
+	for run := 0; run < 10; run++ {
+		if again := Reduce(p).PreUnions; !reflect.DeepEqual(again, first) {
+			t.Fatalf("run %d: pre-unions %v, first run %v", run, again, first)
+		}
+	}
+}
+
+var reduceSink *Result
+
+// BenchmarkReduce times OVS on its pipeline input: linux at paper size
+// after HVN and HU.
+func BenchmarkReduce(b *testing.B) {
+	prof, _ := synth.ProfileByName("linux")
+	p := hvn.Reduce(hvn.Reduce(synth.Generate(prof), false).Reduced, true).Reduced
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reduceSink = Reduce(p)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -309,5 +310,37 @@ func BenchmarkNuutilaDense(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Nuutila(n, nil, adj)
+	}
+}
+
+// TestNewGraphs: the CSR graphs list each node's successors and
+// predecessors in emission order, duplicates and self-loops included.
+func TestNewGraphs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 100; trial++ {
+		n := rng.Intn(30)
+		var edges [][2]uint32
+		if n > 0 {
+			for i := rng.Intn(4 * n); i > 0; i-- {
+				edges = append(edges, [2]uint32{uint32(rng.Intn(n)), uint32(rng.Intn(n))})
+			}
+		}
+		succ, pred := NewGraphs(n, func(edge func(from, to uint32)) {
+			for _, e := range edges {
+				edge(e[0], e[1])
+			}
+		})
+		wantSucc := make([][]uint32, n)
+		wantPred := make([][]uint32, n)
+		for _, e := range edges {
+			wantSucc[e[0]] = append(wantSucc[e[0]], e[1])
+			wantPred[e[1]] = append(wantPred[e[1]], e[0])
+		}
+		for x := 0; x < n; x++ {
+			if !slices.Equal(succ.Succs(uint32(x)), wantSucc[x]) || !slices.Equal(pred.Succs(uint32(x)), wantPred[x]) {
+				t.Fatalf("trial %d node %d: succs %v preds %v, want %v %v", trial, x,
+					succ.Succs(uint32(x)), pred.Succs(uint32(x)), wantSucc[x], wantPred[x])
+			}
+		}
 	}
 }

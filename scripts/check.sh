@@ -21,8 +21,10 @@
 #                and the memo property/fuzz-seed replays under -race, then
 #                antsolve -memo end-to-end — sequential and at 4 workers —
 #                with the solutions diffed against plain solving)
-#   paper-smoke — stage 13 (ghostscript at paper size, lcd+hcd solved
-#                sequentially and with -workers 2, solutions compared)
+#   paper-smoke — stage 13 (the offline passes at paper size against
+#                their references; ghostscript at paper size, lcd+hcd
+#                solved sequentially, with -workers 2 and behind the
+#                HVN → HU → OVS ladder, solutions compared)
 #
 # The stages:
 #   1. a gofmt gate (fails listing any unformatted file);
@@ -74,14 +76,17 @@
 #      end-to-end antsolve run — the same workload solved plain, with
 #      -memo, and with -memo -workers 4, gating on byte-identical
 #      points-to solutions;
-#  13. the paper-size smoke: TestPaperScalePairs by name (the HCD
-#      offline pass on all six profiles at scale 1.0, checked pair for
-#      pair against the two-walk reference), then ghostscript generated
-#      at scale 1.0 (67k constraints) and solved with lcd+hcd
-#      sequentially and with -workers 2, gating on identical points-to
-#      solutions. Each solve runs under -timeout 60s, which guards
-#      against hangs only — the sequential solve takes well under a
-#      second — and is not a performance gate.
+#  13. the paper-size smoke: TestPaperScalePairs and
+#      TestPaperScaleOffline by name (on all six profiles at scale 1.0:
+#      the HCD offline pass checked pair for pair against the two-walk
+#      reference, on the raw program and on the HVN → HU → OVS ladder's
+#      output, and each ladder pass checked against its reference), then
+#      ghostscript generated at scale 1.0 (67k constraints) and solved
+#      with lcd+hcd sequentially, with -workers 2, and sequentially behind
+#      -hvn -hu -ovs, gating on identical points-to solutions. Each solve
+#      runs under -timeout 60s, which guards against hangs only — the
+#      sequential solve takes well under a second — and is not a
+#      performance gate.
 #
 # /bin/sh has no pipefail, so every stage below is a plain command (or
 # a command substitution) — never a pipeline, except stage 13's, which
@@ -297,9 +302,9 @@ if want memo; then
 fi
 
 if want paper-smoke; then
-	echo "==> paper-smoke: HCD offline pairs at scale 1.0 vs the two-walk reference"
-	go test -count=1 -run '^TestPaperScalePairs$' ./internal/hcd
-	echo "==> paper-smoke: ghostscript@1.0 lcd+hcd, sequential vs -workers 2"
+	echo "==> paper-smoke: offline passes at scale 1.0 vs their references"
+	go test -count=1 -run '^(TestPaperScalePairs|TestPaperScaleOffline)$' ./internal/hcd ./internal/hvn
+	echo "==> paper-smoke: ghostscript@1.0 lcd+hcd, sequential vs -workers 2 vs -hvn -hu -ovs"
 	paperdir=$(mktemp -d "${TMPDIR:-/tmp}/antgrass-paper.XXXXXX")
 	cleanup_paper() {
 		rm -rf "$paperdir"
@@ -313,35 +318,42 @@ if want paper-smoke; then
 	go build -o "$paperdir/antsynth" ./cmd/antsynth
 	go build -o "$paperdir/antsolve" ./cmd/antsolve
 	"$paperdir/antsynth" -bench ghostscript -scale 1.0 -o "$paperdir/prog.constraints"
-	for workers in 1 2; do
+	for run in seq workers2 ladder; do
+		case $run in
+		seq) flags="-workers 1" ;;
+		workers2) flags="-workers 2" ;;
+		ladder) flags="-workers 1 -hvn -hu -ovs" ;;
+		esac
 		# The printed solution is ~500 MB, so it is digested as it streams
 		# instead of stored. Only the solution lines ("name -> {...}") are
 		# compared: the headers carry the solve time and the analytic
 		# memory figure, which legitimately differ between engines. A
 		# pipeline hides the solver's exit status, so it goes to a file
-		# that is checked below.
+		# that is checked below. $flags is split into words on purpose.
 		{
 			status=0
-			"$paperdir/antsolve" -alg lcd -hcd -workers "$workers" -timeout 60s \
+			"$paperdir/antsolve" -alg lcd -hcd $flags -timeout 60s \
 				-print "$paperdir/prog.constraints" || status=$?
-			echo "$status" >"$paperdir/status.$workers"
-		} | grep ' -> {' | cksum >"$paperdir/sum.$workers"
-		if [ "$(cat "$paperdir/status.$workers")" != 0 ]; then
-			echo "paper-smoke: antsolve -workers $workers failed" >&2
+			echo "$status" >"$paperdir/status.$run"
+		} | grep ' -> {' | cksum >"$paperdir/sum.$run"
+		if [ "$(cat "$paperdir/status.$run")" != 0 ]; then
+			echo "paper-smoke: antsolve $flags failed" >&2
 			exit 1
 		fi
 	done
-	read -r crc size <"$paperdir/sum.1"
+	read -r crc size <"$paperdir/sum.seq"
 	if [ "$size" = 0 ]; then
 		echo "paper-smoke: the sequential solve printed no solution" >&2
 		exit 1
 	fi
-	if [ "$(cat "$paperdir/sum.1")" != "$(cat "$paperdir/sum.2")" ]; then
-		echo "paper-smoke: -workers 2 solution differs from sequential" \
-			"(cksum $(cat "$paperdir/sum.2") vs $(cat "$paperdir/sum.1"))" >&2
-		exit 1
-	fi
-	echo "paper-smoke: -workers 2 solution matches sequential ($size bytes, cksum $crc)"
+	for run in workers2 ladder; do
+		if [ "$(cat "$paperdir/sum.seq")" != "$(cat "$paperdir/sum.$run")" ]; then
+			echo "paper-smoke: $run solution differs from sequential" \
+				"(cksum $(cat "$paperdir/sum.$run") vs $(cat "$paperdir/sum.seq"))" >&2
+			exit 1
+		fi
+	done
+	echo "paper-smoke: -workers 2 and -hvn -hu -ovs solutions match sequential ($size bytes, cksum $crc)"
 fi
 
 echo "OK"
