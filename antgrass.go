@@ -59,7 +59,9 @@ type Program = constraint.Program
 type Unit = cgen.Unit
 
 // Stats holds the solver cost counters of the paper's §5.3 plus timing and
-// analytic memory accounting.
+// analytic memory accounting. EdgeProbes is defined the same way for every
+// explicit solver and for the parallel engine: the insertions step 1 tries,
+// after it skips the repeats a visit cannot turn into edges.
 type Stats = core.Stats
 
 // Algorithm names a solver.

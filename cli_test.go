@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,28 @@ void main(void) { sel = pick; result = sel(1); }
 	if stat1 == "" || stat1 != stat2 {
 		t.Errorf("solution statistics differ between solvers:\n%q\n%q", stat1, stat2)
 	}
+
+	// 6. -stats reports the step-1 kernel's edge probes for HT and for the
+	// parallel engine too: at least one per edge added.
+	for _, args := range [][]string{{"-alg", "ht"}, {"-alg", "lcd", "-hcd", "-workers", "2"}} {
+		out, _ := run(t, antsolve, append(args, "-stats", wfile)...)
+		probes, edges := statValue(out, "edge probes:"), statValue(out, "edges added:")
+		if probes <= 0 || edges <= 0 || probes < edges {
+			t.Errorf("antsolve %v -stats: edge probes %d, edges added %d:\n%s", args, probes, edges, out)
+		}
+		if got := extractLine(out, "non-empty"); got != stat1 {
+			t.Errorf("antsolve %v solution statistics %q, want %q", args, got, stat1)
+		}
+	}
+}
+
+// statValue returns the integer after prefix on its -stats line, or -1.
+func statValue(s, prefix string) int64 {
+	v, err := strconv.ParseInt(strings.TrimSpace(strings.TrimPrefix(extractLine(s, prefix), prefix)), 10, 64)
+	if err != nil {
+		return -1
+	}
+	return v
 }
 
 func extractLine(s, prefix string) string {

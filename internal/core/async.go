@@ -131,6 +131,7 @@ type asyncOwnerState struct {
 
 	succScratch []uint32
 	resScratch  []uint32
+	step1       step1 // private stamps: owners realize concurrently
 
 	// fired dedups LCD candidate sends per (src, dst) pair — the owner-side
 	// mirror of the arbiter's global fired map; hcdPending dedups HCD
@@ -295,21 +296,13 @@ func (s *asyncState) Step(w int) bool {
 		}
 		rb, _ := pts.MutableBitmapIn(g.resolved[n], ow.pool)
 		rb.IorWith(ow.res)
+		// A pause, the only place the union-find changes, lands between
+		// Steps, so FindRO is stable for the whole visit.
 		ow.resScratch = ow.res.AppendTo(ow.resScratch[:0])
-		for _, ld := range g.loads[n] {
-			for _, pv := range ow.resScratch {
-				if t, okT := g.validTarget(pv, ld.Off); okT {
-					s.emitEdge(w, t, ld.Other)
-				}
-			}
-		}
-		for _, st := range g.stores[n] {
-			for _, pv := range ow.resScratch {
-				if t, okT := g.validTarget(pv, st.Off); okT {
-					s.emitEdge(w, st.Other, t)
-				}
-			}
-		}
+		g.realize(&ow.step1, ow.resScratch, g.loads[n], g.stores[n], g.nodes.FindRO, func(rs, rd uint32) bool {
+			s.emitEdge(w, rs, rd)
+			return false
+		})
 	}
 	return true
 }
@@ -436,11 +429,10 @@ func (s *asyncState) applyEdgeLocal(w int, rs, rd uint32) {
 	}
 }
 
-// emitEdge routes the semantic copy edge src → dst (any ids) to the owner
-// of the source's representative.
-func (s *asyncState) emitEdge(w int, src, dst uint32) {
+// emitEdge is step 1's sink on owner w: it routes the copy edge rs → rd
+// (representatives) to the owner of rs. A duplicate is a no-op there.
+func (s *asyncState) emitEdge(w int, rs, rd uint32) {
 	s.ow[w].edgeProbes++
-	rs, rd := s.g.nodes.FindRO(src), s.g.nodes.FindRO(dst)
 	if rs == rd {
 		return
 	}

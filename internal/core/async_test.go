@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"antgrass/internal/constraint"
 	"antgrass/internal/pts"
 )
 
@@ -188,6 +190,61 @@ func TestAsyncStats(t *testing.T) {
 			}
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("workers=%d: pts(v%d) differs between sequential and async", tc.workers, v)
+			}
+		}
+	}
+}
+
+// TestAsyncStep1Probes checks that the owners' step 1 runs the shared
+// stamped kernel. The program's pointees are one copy cycle, which HCD's
+// offline pass unites before any owner runs, so a stamped visit makes one
+// probe per constraint while a per-pointee loop makes one per constraint
+// and pointee. The count is then schedule-independent: every owner count
+// must make exactly the sequential solver's probes. (On a synthetic
+// profile the owners' count varies with the schedule, by up to 10× at 4
+// owners on 2 CPUs, because a Step can resolve pointees before the pause
+// that collapses them lands; see docs/ALGORITHMS.md.)
+func TestAsyncStep1Probes(t *testing.T) {
+	const pointees, derefs = 64, 16
+	p := constraint.NewProgram()
+	ptr := p.AddVar("p")
+	xs := make([]constraint.VarID, pointees)
+	for i := range xs {
+		xs[i] = p.AddVar(fmt.Sprintf("x%d", i))
+		p.AddAddrOf(ptr, xs[i])
+	}
+	for i := range xs {
+		p.AddCopy(xs[(i+1)%pointees], xs[i])
+	}
+	for j := 0; j < derefs; j++ {
+		a, b, o := p.AddVar(fmt.Sprintf("a%d", j)), p.AddVar(fmt.Sprintf("b%d", j)), p.AddVar(fmt.Sprintf("o%d", j))
+		p.AddLoad(a, ptr, 0)
+		p.AddAddrOf(b, o)
+		p.AddStore(ptr, b, 0)
+	}
+	seq, err := Solve(p, Options{Algorithm: LCD, WithHCD: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(pointees + 2*derefs); seq.Stats.EdgeProbes != want {
+		t.Fatalf("sequential: %d edge probes, want %d", seq.Stats.EdgeProbes, want)
+	}
+	for _, o := range []Options{
+		{Algorithm: LCD, WithHCD: true, Async: true},
+		{Algorithm: LCD, WithHCD: true, Workers: 2},
+		{Algorithm: LCD, WithHCD: true, Workers: 4},
+	} {
+		r, err := Solve(p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Stats.EdgeProbes != seq.Stats.EdgeProbes {
+			t.Errorf("%d owner(s): %d edge probes, sequential makes %d",
+				r.Stats.Workers, r.Stats.EdgeProbes, seq.Stats.EdgeProbes)
+		}
+		for v := uint32(0); v < uint32(p.NumVars); v++ {
+			if got, want := r.PointsToSlice(v), seq.PointsToSlice(v); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d owner(s): pts(%s) = %v, want %v", r.Stats.Workers, p.NameOf(v), got, want)
 			}
 		}
 	}

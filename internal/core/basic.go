@@ -35,15 +35,12 @@ type basicState struct {
 	// removes.
 	memo *memo.Table
 
+	// step1 realizes each visit's loads and stores. Under Options.Memo it
+	// runs constraint-major over offsetTargets, which expands derefWork.
+	step1        step1
+	derefWork    pts.Set
 	derefScratch []uint32
 	derefExpand  []uint32 // unmemoized offset-expansion fallback buffer
-	reps         []uint32 // resolveMemo: the snapshot's distinct reps
-
-	// stamp[r] == epoch marks rep r as already resolved at offset 0 in
-	// the current step-1 visit (see beginResolve). Indexed by node; run
-	// grows it with the graph, which Live extends between runs.
-	stamp []uint32
-	epoch uint32
 
 	pops      int
 	intervals int
@@ -60,6 +57,7 @@ func newBasicState(g *graph, opts Options, lazy bool) *basicState {
 	}
 	if opts.Memo {
 		st.memo = memo.NewTable()
+		st.step1.expand = st.offsetTargets
 	}
 	return st
 }
@@ -85,139 +83,12 @@ func (st *basicState) unionInto(dst, src pts.Set) bool {
 	return dst.UnionWith(src)
 }
 
-// Step 1 performs no unites, so within one visit every find is stable and
-// a probe addEdge(src, dst) that repeats a pair already probed always
-// returns false and pushes nothing. Collapsing maps the pointees of a node
-// to a handful of representatives, so the literal "for each v ∈ pts(n),
-// for each a ⊇ *n: add rep(v) → a" repeats almost every offset-0 probe
-// (a probe's pair depends on v only through rep(v)). The resolve loops
-// skip exactly those repeats: a representative stamped earlier in the
-// visit makes no offset-0 probes. Nonzero offsets resolve v+off, which
-// depends on v itself, and keep their per-pointee probes. Only probes
-// that cannot add an edge are skipped, so the schedule is unchanged.
-
-// beginResolve opens a step-1 visit: afterwards no representative is
-// stamped. Stamps are compared against an epoch that advances per visit,
-// so opening a visit is O(1) until the epoch wraps.
-func (st *basicState) beginResolve() {
-	if st.epoch++; st.epoch == 0 {
-		clear(st.stamp)
-		st.epoch = 1
-	}
-}
-
-// firstVisit reports whether rep r is seen for the first time in the
-// current step-1 visit, and stamps it.
-func (st *basicState) firstVisit(r uint32) bool {
-	if st.stamp[r] == st.epoch {
-		return false
-	}
-	st.stamp[r] = st.epoch
-	return true
-}
-
-// hasOffset reports whether any constraint in ds dereferences at a
-// nonzero offset.
-func hasOffset(ds []deref) bool {
-	for _, d := range ds {
-		if d.Off != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// resolve is step 1 in the element-major order of Figure 1 over the
-// snapshot in st.derefScratch, skipping repeated offset-0 probes.
-func (st *basicState) resolve(loads, stores []deref, onNewEdge func(src, dst uint32)) {
-	g := st.g
-	offsets := hasOffset(loads) || hasOffset(stores)
-	for _, v := range st.derefScratch {
-		rv := g.find(v)
-		first := st.firstVisit(rv)
-		if !first && !offsets {
-			continue // every probe for v repeats one already made
-		}
-		for _, ld := range loads {
-			src := rv
-			if ld.Off != 0 {
-				t, valid := g.validTarget(v, ld.Off)
-				if !valid {
-					continue
-				}
-				src = g.find(t)
-			} else if !first {
-				continue
-			}
-			dst := g.find(ld.Other)
-			if g.addEdge(src, dst) {
-				onNewEdge(src, dst)
-			}
-		}
-		for _, stc := range stores {
-			dst := rv
-			if stc.Off != 0 {
-				t, valid := g.validTarget(v, stc.Off)
-				if !valid {
-					continue
-				}
-				dst = g.find(t)
-			} else if !first {
-				continue
-			}
-			src := g.find(stc.Other)
-			if g.addEdge(src, dst) {
-				onNewEdge(src, dst)
-			}
-		}
-	}
-}
-
-// resolveMemo is the memoized form of step 1: it realizes the complex
-// constraints constraint-major instead of element-major, so each distinct
-// (work, offset) dereference expansion is computed — or memo-hit — once
-// and shared by every constraint with that offset. The reordering is
-// safe: step 1 performs no unites, so exactly the same edges are realized
-// as by the element-major loop, just discovered in a different order.
-// st.derefScratch must already hold work's element snapshot.
-func (st *basicState) resolveMemo(work pts.Set, loads, stores []deref, onNewEdge func(src, dst uint32)) {
-	g := st.g
-	st.reps = st.reps[:0]
-	for _, v := range st.derefScratch {
-		if rv := g.find(v); st.firstVisit(rv) {
-			st.reps = append(st.reps, rv)
-		}
-	}
-	for _, ld := range loads {
-		dst := g.find(ld.Other)
-		for _, t := range st.derefTargets(work, ld.Off) {
-			src := g.find(t)
-			if g.addEdge(src, dst) {
-				onNewEdge(src, dst)
-			}
-		}
-	}
-	for _, stc := range stores {
-		src := g.find(stc.Other)
-		for _, t := range st.derefTargets(work, stc.Off) {
-			dst := g.find(t)
-			if g.addEdge(src, dst) {
-				onNewEdge(src, dst)
-			}
-		}
-	}
-}
-
-// derefTargets returns the dereference targets of work at off for
-// resolveMemo. Offset 0 is the identity expansion, deduplicated to the
-// snapshot's distinct representatives (st.reps); nonzero offsets go
-// through the memo. The result is read-only and valid until the next
-// derefTargets call with a nonzero offset.
-func (st *basicState) derefTargets(work pts.Set, off uint32) []uint32 {
-	if off == 0 {
-		return st.reps
-	}
-	if ts, ok := st.memo.OffsetDeref(work, off, st.derefScratch, st.g.validTarget); ok {
+// offsetTargets is the constraint-major step-1 expansion under
+// Options.Memo: the targets of st.derefWork at a nonzero offset, from the
+// memo when it can key them. st.derefScratch holds derefWork's snapshot.
+// The result is read-only and valid until the next call.
+func (st *basicState) offsetTargets(off uint32) []uint32 {
+	if ts, ok := st.memo.OffsetDeref(st.derefWork, off, st.derefScratch, st.g.validTarget); ok {
 		return ts
 	}
 	st.derefExpand = st.derefExpand[:0]
@@ -272,9 +143,6 @@ func solveBasic(ctx context.Context, g *graph, opts Options, lazy bool) error {
 // at the least fixpoint of the constraints represented in the graph.
 func (st *basicState) run(ctx context.Context, w worklist.Worklist) error {
 	g, opts, lazy, diff := st.g, st.opts, st.lazy, st.diff
-	if len(st.stamp) < g.n {
-		st.stamp = append(st.stamp, make([]uint32, g.n-len(st.stamp))...)
-	}
 	for {
 		x, ok := w.Pop()
 		if !ok {
@@ -331,32 +199,27 @@ func (st *basicState) run(ctx context.Context, w worklist.Worklist) error {
 		}
 		// Step 1 (Figure 1): realize complex constraints as new edges.
 		if len(g.loads[n]) > 0 || len(g.stores[n]) > 0 {
-			loads, stores := g.loads[n], g.stores[n]
-			onNewEdge := func(src, dst uint32) {
-				if diff {
-					// The new edge transfers the full
-					// current set right away; later growth
-					// arrives as deltas.
-					if g.sets[src] != nil {
-						g.stats.Propagations++
-						if st.unionInto(g.ptsOf(dst), g.sets[src]) {
-							w.Push(dst)
-						}
-					}
-				} else {
-					w.Push(src)
-				}
-			}
 			// Word-level snapshot instead of a per-bit closure walk; it
-			// also insulates the iteration from the set unions onNewEdge
+			// also insulates the iteration from the set unions a new edge
 			// performs under difference propagation.
 			st.derefScratch = work.AppendTo(st.derefScratch[:0])
-			st.beginResolve()
-			if st.memo != nil {
-				st.resolveMemo(work, loads, stores, onNewEdge)
-			} else {
-				st.resolve(loads, stores, onNewEdge)
-			}
+			st.derefWork = work
+			g.realize(&st.step1, st.derefScratch, g.loads[n], g.stores[n], g.find, func(src, dst uint32) bool {
+				if !g.addCopyEdge(src, dst) {
+					return false
+				}
+				if !diff {
+					w.Push(src)
+				} else if g.sets[src] != nil {
+					// The new edge transfers the full current set
+					// right away; later growth arrives as deltas.
+					g.stats.Propagations++
+					if st.unionInto(g.ptsOf(dst), g.sets[src]) {
+						w.Push(dst)
+					}
+				}
+				return false
+			})
 		}
 		// Step 2: propagate along outgoing copy edges, with the LCD
 		// trigger guarding each propagation.

@@ -284,6 +284,158 @@ func (g *graph) addEdgeIn(src, dst uint32, pool *bitmap.Pool) bool {
 	return bm.Set(dst)
 }
 
+// step1 is the step-1 kernel of Figure 1 that every explicit solver
+// shares: one visit realizes a node's loads and stores over a snapshot of
+// its pointees as copy-edge probes, handed to a solver-specific sink.
+//
+// A probe's pair depends on a pointee v only through rep(v) at offset 0,
+// and collapsing maps the pointees of a node to a handful of
+// representatives, so the literal "for each v ∈ pts(n), for each a ⊇ *n:
+// probe rep(v) → a" repeats almost every offset-0 probe. The kernel
+// stamps each representative the first time a visit sees it; a stamped
+// representative makes no offset-0 probes. Nonzero offsets resolve v+off,
+// which depends on v itself, and keep their per-pointee probes. A probe
+// is skipped only when it repeats one made under the same union-find
+// forest, so it cannot add an edge, and every solver's schedule is that
+// of its literal loop.
+type step1 struct {
+	// stamp[r] == epoch marks rep r as already probed at offset 0 in the
+	// current visit. Stamps are compared against an epoch that advances
+	// per visit, so opening a visit is O(1) until the epoch wraps.
+	stamp []uint32
+	epoch uint32
+
+	// expand, when non-nil, selects the constraint-major mode: each
+	// constraint is realized over expand(off), the targets of the
+	// snapshot at a nonzero offset, so one expansion (memoized by the
+	// caller) serves every constraint with that offset. Offset 0 uses
+	// the snapshot's distinct representatives, collected in reps. The
+	// mode is for sinks that never unite.
+	expand func(off uint32) []uint32
+	reps   []uint32
+}
+
+// open starts a visit over a graph of n nodes: afterwards no
+// representative is stamped.
+func (k *step1) open(n int) {
+	if len(k.stamp) < n {
+		// Live grows the graph between visits.
+		k.stamp = append(k.stamp, make([]uint32, n-len(k.stamp))...)
+	}
+	if k.epoch++; k.epoch == 0 {
+		clear(k.stamp)
+		k.epoch = 1
+	}
+}
+
+// first reports whether rep r is seen for the first time in the current
+// visit, and stamps it.
+func (k *step1) first(r uint32) bool {
+	if k.stamp[r] == k.epoch {
+		return false
+	}
+	k.stamp[r] = k.epoch
+	return true
+}
+
+// reopen opens a new visit after a sink united, and stamps the
+// representative of pointee v, which may have moved.
+func (k *step1) reopen(n int, v uint32, find func(uint32) uint32) (uint32, bool) {
+	k.open(n)
+	rv := find(v)
+	return rv, k.first(rv)
+}
+
+// targets returns the dereference targets of the constraint-major
+// snapshot at off.
+func (k *step1) targets(off uint32) []uint32 {
+	if off == 0 {
+		return k.reps
+	}
+	return k.expand(off)
+}
+
+// realize runs one visit of step 1 over the pointee snapshot pv: each
+// load a ⊇ *(n+off) probes find(v+off) → find(a), and each store
+// *(n+off) ⊇ b probes find(b) → find(v+off), through sink. sink reports
+// whether it changed the union-find (PKW collapses cycles at insertion);
+// then the kernel opens a new visit, so no stamp taken under the old
+// forest hides a probe whose representatives have since changed.
+// Element-major order is Figure 1's; see expand for the other mode.
+func (g *graph) realize(k *step1, pv []uint32, loads, stores []deref, find func(uint32) uint32, sink func(src, dst uint32) bool) {
+	k.open(g.n)
+	if k.expand != nil {
+		k.reps = k.reps[:0]
+		for _, v := range pv {
+			if rv := find(v); k.first(rv) {
+				k.reps = append(k.reps, rv)
+			}
+		}
+		for _, ld := range loads {
+			dst := find(ld.Other)
+			for _, t := range k.targets(ld.Off) {
+				sink(find(t), dst)
+			}
+		}
+		for _, st := range stores {
+			src := find(st.Other)
+			for _, t := range k.targets(st.Off) {
+				sink(src, find(t))
+			}
+		}
+		return
+	}
+	offsets := hasOffset(loads) || hasOffset(stores)
+	for _, v := range pv {
+		rv := find(v)
+		first := k.first(rv)
+		if !first && !offsets {
+			continue // every probe for v repeats one already made
+		}
+		for _, ld := range loads {
+			src := rv
+			if ld.Off != 0 {
+				t, valid := g.validTarget(v, ld.Off)
+				if !valid {
+					continue
+				}
+				src = find(t)
+			} else if !first {
+				continue
+			}
+			if sink(src, find(ld.Other)) {
+				rv, first = k.reopen(g.n, v, find)
+			}
+		}
+		for _, st := range stores {
+			dst := rv
+			if st.Off != 0 {
+				t, valid := g.validTarget(v, st.Off)
+				if !valid {
+					continue
+				}
+				dst = find(t)
+			} else if !first {
+				continue
+			}
+			if sink(find(st.Other), dst) {
+				rv, first = k.reopen(g.n, v, find)
+			}
+		}
+	}
+}
+
+// hasOffset reports whether any constraint in ds dereferences at a
+// nonzero offset.
+func hasOffset(ds []deref) bool {
+	for _, d := range ds {
+		if d.Off != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // succsOf returns the current successor representatives of rep r, repairing
 // stale entries (successors that have since been collapsed) in place. The
 // returned slice is valid until the next succsOf call.

@@ -93,6 +93,8 @@ func solveHT(ctx context.Context, g *graph, opts Options) error {
 	}
 	defer func() { g.onUnite = nil }()
 
+	var k step1
+	var pv []uint32
 	for {
 		if err := ctx.Err(); err != nil {
 			return canceled(err, "HT round")
@@ -122,28 +124,13 @@ func solveHT(ctx context.Context, g *graph, opts Options) error {
 			}
 			set := h.query(n)
 			n = g.find(n) // query may collapse n into a cycle
-			loads, stores := g.loads[n], g.stores[n]
-			set.ForEach(func(u uint32) bool {
-				for _, ld := range loads {
-					t, valid := g.validTarget(u, ld.Off)
-					if !valid {
-						continue
-					}
-					// New copy edge t → dst, stored reversed.
-					if g.addCopyEdge(t, ld.Other) {
-						changed = true
-					}
+			// New copy edges are stored reversed; step 1 unites nothing.
+			pv = set.AppendTo(pv[:0])
+			g.realize(&k, pv, g.loads[n], g.stores[n], g.find, func(src, dst uint32) bool {
+				if g.addCopyEdge(src, dst) {
+					changed = true
 				}
-				for _, st := range stores {
-					t, valid := g.validTarget(u, st.Off)
-					if !valid {
-						continue
-					}
-					if g.addCopyEdge(st.Other, t) {
-						changed = true
-					}
-				}
-				return true
+				return false
 			})
 		}
 		if g.stats.NodesCollapsed != collapsedBefore {

@@ -32,7 +32,8 @@ func solvePKH(ctx context.Context, g *graph, opts Options) error {
 
 	pos := make([]int32, g.n) // topological position of each rep this round
 	inRound := make([]bool, g.n)
-	var derefScratch []uint32
+	var k step1
+	var pv []uint32
 	for len(pending) > 0 {
 		if err := ctx.Err(); err != nil {
 			return canceled(err, "PKH sweep round")
@@ -116,31 +117,14 @@ func solvePKH(ctx context.Context, g *graph, opts Options) error {
 				continue
 			}
 			if len(g.loads[cur]) > 0 || len(g.stores[cur]) > 0 {
-				loads, stores := g.loads[cur], g.stores[cur]
 				// Word-level snapshot instead of a per-bit closure walk.
-				derefScratch = set.AppendTo(derefScratch[:0])
-				for _, v := range derefScratch {
-					for _, ld := range loads {
-						t, valid := g.validTarget(v, ld.Off)
-						if !valid {
-							continue
-						}
-						src := g.find(t)
-						if g.addEdge(src, g.find(ld.Other)) {
-							schedule(src)
-						}
+				pv = set.AppendTo(pv[:0])
+				g.realize(&k, pv, g.loads[cur], g.stores[cur], g.find, func(src, dst uint32) bool {
+					if g.addEdge(src, dst) {
+						schedule(src)
 					}
-					for _, st := range stores {
-						t, valid := g.validTarget(v, st.Off)
-						if !valid {
-							continue
-						}
-						src := g.find(st.Other)
-						if g.addEdge(src, g.find(t)) {
-							schedule(src)
-						}
-					}
-				}
+					return false
+				})
 			}
 			for _, z := range g.succsSnapshot(cur) {
 				if z == cur {

@@ -30,29 +30,32 @@ func solvePKW(ctx context.Context, g *graph, opts Options) error {
 			w.Push(r)
 		}
 	}
-	// insert adds edge src → dst with eager cycle detection.
+	// insert is step 1's sink: it adds edge src → dst with eager cycle
+	// detection and reports whether a collapse changed the union-find.
 	insert := func(src, dst uint32) bool {
 		if !g.addEdge(src, dst) {
 			return false
 		}
+		united := false
 		if pos[src] > pos[dst] {
 			// Ordering violation: search for a cycle right now.
 			g.stats.CycleChecks++
+			next++
 			if g.detectAndCollapse(dst, w.Push) {
-				r := g.find(src)
-				next++
-				pos[r] = next
+				united = true
+				pos[g.find(src)] = next
 			} else {
 				// No cycle: restore the invariant by moving dst
 				// past src.
-				next++
 				pos[g.find(dst)] = next
 			}
 		}
-		return true
+		w.Push(g.find(src))
+		return united
 	}
 	var pops int
-	var derefScratch []uint32
+	var k step1
+	var pv []uint32
 	for {
 		x, ok := w.Pop()
 		if !ok {
@@ -77,32 +80,10 @@ func solvePKW(ctx context.Context, g *graph, opts Options) error {
 			continue
 		}
 		if len(g.loads[cur]) > 0 || len(g.stores[cur]) > 0 {
-			loads, stores := g.loads[cur], g.stores[cur]
 			// Iterate a snapshot: insert may collapse a cycle and
 			// mutate the live set mid-iteration.
-			derefScratch = set.AppendTo(derefScratch[:0])
-			for _, v := range derefScratch {
-				for _, ld := range loads {
-					t, valid := g.validTarget(v, ld.Off)
-					if !valid {
-						continue
-					}
-					src := g.find(t)
-					if insert(src, g.find(ld.Other)) {
-						w.Push(g.find(src))
-					}
-				}
-				for _, st := range stores {
-					t, valid := g.validTarget(v, st.Off)
-					if !valid {
-						continue
-					}
-					src := g.find(st.Other)
-					if insert(src, g.find(t)) {
-						w.Push(g.find(src))
-					}
-				}
-			}
+			pv = set.AppendTo(pv[:0])
+			g.realize(&k, pv, g.loads[cur], g.stores[cur], g.find, insert)
 			cur = g.find(cur)
 			set = g.sets[cur]
 			if set == nil {

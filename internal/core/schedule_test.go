@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"antgrass/internal/constraint"
 	"antgrass/internal/synth"
 	"antgrass/internal/worklist"
 )
@@ -18,10 +19,7 @@ import (
 func TestStep1KeepsSchedule(t *testing.T) {
 	prof, _ := synth.ProfileByName("ghostscript")
 	p := synth.Generate(prof.Scale(0.05))
-	for _, tc := range []struct {
-		opts Options
-		want Stats
-	}{
+	checkSchedule(t, p, []scheduleCase{
 		{Options{Algorithm: Naive, WithHCD: false, Worklist: worklist.LRF, DiffProp: false, Memo: false}, Stats{Propagations: 325509, EdgesAdded: 97100, CycleChecks: 0, NodesSearched: 0, NodesCollapsed: 0, HCDCollapses: 0}},
 		{Options{Algorithm: Naive, WithHCD: false, Worklist: worklist.LRF, DiffProp: false, Memo: true}, Stats{Propagations: 325509, EdgesAdded: 97100, CycleChecks: 0, NodesSearched: 0, NodesCollapsed: 0, HCDCollapses: 0}},
 		{Options{Algorithm: Naive, WithHCD: false, Worklist: worklist.LRF, DiffProp: true, Memo: false}, Stats{Propagations: 277019, EdgesAdded: 97100, CycleChecks: 0, NodesSearched: 0, NodesCollapsed: 0, HCDCollapses: 0}},
@@ -70,7 +68,46 @@ func TestStep1KeepsSchedule(t *testing.T) {
 		{Options{Algorithm: LCD, WithHCD: true, Worklist: worklist.LIFO, DiffProp: false, Memo: true}, Stats{Propagations: 1303, EdgesAdded: 1915, CycleChecks: 214, NodesSearched: 1916, NodesCollapsed: 864, HCDCollapses: 110}},
 		{Options{Algorithm: LCD, WithHCD: true, Worklist: worklist.LIFO, DiffProp: true, Memo: false}, Stats{Propagations: 2113, EdgesAdded: 1912, CycleChecks: 198, NodesSearched: 1885, NodesCollapsed: 864, HCDCollapses: 110}},
 		{Options{Algorithm: LCD, WithHCD: true, Worklist: worklist.LIFO, DiffProp: true, Memo: true}, Stats{Propagations: 2113, EdgesAdded: 1912, CycleChecks: 198, NodesSearched: 1885, NodesCollapsed: 864, HCDCollapses: 110}},
-	} {
+	})
+}
+
+// TestStep1KeepsScheduleOtherSolvers pins the same counters, plus
+// Rounds, for HT, PKH and PKW ±HCD on ghostscript at scale 0.05 (HT
+// also ±Memo, PKW under every worklist kind). The values were recorded
+// from each solver's literal per-pointee step 1, before all of them
+// moved onto the shared stamped kernel. PKW is the case that tests the
+// kernel's rule for a sink that unites: an insertion that collapses a
+// cycle mid-visit must open a new visit, or a stamped representative
+// hides a probe whose destination representative just changed.
+func TestStep1KeepsScheduleOtherSolvers(t *testing.T) {
+	prof, _ := synth.ProfileByName("ghostscript")
+	p := synth.Generate(prof.Scale(0.05))
+	checkSchedule(t, p, []scheduleCase{
+		{Options{Algorithm: HT, WithHCD: false, Memo: false}, Stats{Propagations: 843, EdgesAdded: 54255, CycleChecks: 0, NodesSearched: 2220, NodesCollapsed: 864, HCDCollapses: 0, Rounds: 4}},
+		{Options{Algorithm: HT, WithHCD: false, Memo: true}, Stats{Propagations: 843, EdgesAdded: 54255, CycleChecks: 0, NodesSearched: 2220, NodesCollapsed: 864, HCDCollapses: 0, Rounds: 4}},
+		{Options{Algorithm: HT, WithHCD: true, Memo: false}, Stats{Propagations: 687, EdgesAdded: 1984, CycleChecks: 0, NodesSearched: 1996, NodesCollapsed: 864, HCDCollapses: 112, Rounds: 4}},
+		{Options{Algorithm: HT, WithHCD: true, Memo: true}, Stats{Propagations: 687, EdgesAdded: 1984, CycleChecks: 0, NodesSearched: 1996, NodesCollapsed: 864, HCDCollapses: 112, Rounds: 4}},
+		{Options{Algorithm: PKH, WithHCD: false}, Stats{Propagations: 37144, EdgesAdded: 58307, CycleChecks: 3, NodesSearched: 4037, NodesCollapsed: 864, HCDCollapses: 0, Rounds: 3}},
+		{Options{Algorithm: PKH, WithHCD: true}, Stats{Propagations: 1305, EdgesAdded: 1836, CycleChecks: 3, NodesSearched: 3925, NodesCollapsed: 864, HCDCollapses: 112, Rounds: 3}},
+		{Options{Algorithm: PKW, WithHCD: false, Worklist: worklist.LRF}, Stats{Propagations: 1049, EdgesAdded: 11121, CycleChecks: 137, NodesSearched: 31939, NodesCollapsed: 864, HCDCollapses: 0}},
+		{Options{Algorithm: PKW, WithHCD: false, Worklist: worklist.FIFO}, Stats{Propagations: 1049, EdgesAdded: 11121, CycleChecks: 137, NodesSearched: 31939, NodesCollapsed: 864, HCDCollapses: 0}},
+		{Options{Algorithm: PKW, WithHCD: false, Worklist: worklist.LIFO}, Stats{Propagations: 1153, EdgesAdded: 12721, CycleChecks: 477, NodesSearched: 34330, NodesCollapsed: 863, HCDCollapses: 0}},
+		{Options{Algorithm: PKW, WithHCD: true, Worklist: worklist.LRF}, Stats{Propagations: 1480, EdgesAdded: 1839, CycleChecks: 144, NodesSearched: 5380, NodesCollapsed: 863, HCDCollapses: 111}},
+		{Options{Algorithm: PKW, WithHCD: true, Worklist: worklist.FIFO}, Stats{Propagations: 1477, EdgesAdded: 1839, CycleChecks: 144, NodesSearched: 5380, NodesCollapsed: 863, HCDCollapses: 111}},
+		{Options{Algorithm: PKW, WithHCD: true, Worklist: worklist.LIFO}, Stats{Propagations: 865, EdgesAdded: 1837, CycleChecks: 328, NodesSearched: 4888, NodesCollapsed: 861, HCDCollapses: 110}},
+	})
+}
+
+type scheduleCase struct {
+	opts Options
+	want Stats
+}
+
+// checkSchedule solves p under every case and compares the §5.3
+// counters that step 1 must not move.
+func checkSchedule(t *testing.T, p *constraint.Program, cases []scheduleCase) {
+	t.Helper()
+	for _, tc := range cases {
 		r, err := Solve(p, tc.opts)
 		if err != nil {
 			t.Fatal(err)
@@ -82,6 +119,7 @@ func TestStep1KeepsSchedule(t *testing.T) {
 			NodesSearched:  r.Stats.NodesSearched,
 			NodesCollapsed: r.Stats.NodesCollapsed,
 			HCDCollapses:   r.Stats.HCDCollapses,
+			Rounds:         r.Stats.Rounds,
 		}
 		if got != tc.want {
 			o := tc.opts

@@ -189,10 +189,12 @@ type Stats struct {
 	// EdgesAdded counts constraint edges inserted (initial and derived).
 	EdgesAdded int64
 	// EdgeProbes counts edge-insertion attempts, EdgesAdded among them:
-	// every probe of the explicit-graph solvers, including self-edges
-	// and edges already present that are dropped, and every edge the
-	// async engine's owners emit. EdgeProbes − EdgesAdded is the
-	// insertion work that found nothing new.
+	// one per copy constraint when the graph is built, plus every
+	// addEdge or emitEdge call the shared step-1 kernel makes, for every
+	// explicit solver and the async owners alike. Probes that find a
+	// self-edge or an edge already present count too; repeats the
+	// kernel skips do not. EdgeProbes − EdgesAdded is the insertion work
+	// that found nothing new.
 	EdgeProbes int64
 	// CycleChecks counts triggered cycle-detection attempts (LCD) or
 	// sweeps (PKH).

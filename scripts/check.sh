@@ -24,7 +24,8 @@
 #   paper-smoke — stage 13 (the offline passes at paper size against
 #                their references; ghostscript at paper size, lcd+hcd
 #                solved sequentially, with -workers 2 and behind the
-#                HVN → HU → OVS ladder, solutions compared)
+#                HVN → HU → OVS ladder, and ht+hcd and pkh+hcd,
+#                solutions compared)
 #
 # The stages:
 #   1. a gofmt gate (fails listing any unformatted file);
@@ -83,10 +84,11 @@
 #      output, and each ladder pass checked against its reference), then
 #      ghostscript generated at scale 1.0 (67k constraints) and solved
 #      with lcd+hcd sequentially, with -workers 2, and sequentially behind
-#      -hvn -hu -ovs, gating on identical points-to solutions. Each solve
-#      runs under -timeout 60s, which guards against hangs only — the
-#      sequential solve takes well under a second — and is not a
-#      performance gate.
+#      -hvn -hu -ovs, and with ht+hcd and pkh+hcd, gating on identical
+#      points-to solutions: every explicit solver's step 1 runs the same
+#      stamped kernel. Each solve runs under -timeout 60s, which guards
+#      against hangs only — the slowest, pkh+hcd, takes a few seconds —
+#      and is not a performance gate.
 #
 # /bin/sh has no pipefail, so every stage below is a plain command (or
 # a command substitution) — never a pipeline, except stage 13's, which
@@ -304,7 +306,7 @@ fi
 if want paper-smoke; then
 	echo "==> paper-smoke: offline passes at scale 1.0 vs their references"
 	go test -count=1 -run '^(TestPaperScalePairs|TestPaperScaleOffline)$' ./internal/hcd ./internal/hvn
-	echo "==> paper-smoke: ghostscript@1.0 lcd+hcd, sequential vs -workers 2 vs -hvn -hu -ovs"
+	echo "==> paper-smoke: ghostscript@1.0 lcd+hcd sequential vs -workers 2 vs -hvn -hu -ovs vs ht+hcd vs pkh+hcd"
 	paperdir=$(mktemp -d "${TMPDIR:-/tmp}/antgrass-paper.XXXXXX")
 	cleanup_paper() {
 		rm -rf "$paperdir"
@@ -318,11 +320,13 @@ if want paper-smoke; then
 	go build -o "$paperdir/antsynth" ./cmd/antsynth
 	go build -o "$paperdir/antsolve" ./cmd/antsolve
 	"$paperdir/antsynth" -bench ghostscript -scale 1.0 -o "$paperdir/prog.constraints"
-	for run in seq workers2 ladder; do
+	for run in seq workers2 ladder ht pkh; do
 		case $run in
-		seq) flags="-workers 1" ;;
-		workers2) flags="-workers 2" ;;
-		ladder) flags="-workers 1 -hvn -hu -ovs" ;;
+		seq) flags="-alg lcd -workers 1" ;;
+		workers2) flags="-alg lcd -workers 2" ;;
+		ladder) flags="-alg lcd -workers 1 -hvn -hu -ovs" ;;
+		ht) flags="-alg ht" ;;
+		pkh) flags="-alg pkh" ;;
 		esac
 		# The printed solution is ~500 MB, so it is digested as it streams
 		# instead of stored. Only the solution lines ("name -> {...}") are
@@ -332,7 +336,7 @@ if want paper-smoke; then
 		# that is checked below. $flags is split into words on purpose.
 		{
 			status=0
-			"$paperdir/antsolve" -alg lcd -hcd $flags -timeout 60s \
+			"$paperdir/antsolve" -hcd $flags -timeout 60s \
 				-print "$paperdir/prog.constraints" || status=$?
 			echo "$status" >"$paperdir/status.$run"
 		} | grep ' -> {' | cksum >"$paperdir/sum.$run"
@@ -346,14 +350,14 @@ if want paper-smoke; then
 		echo "paper-smoke: the sequential solve printed no solution" >&2
 		exit 1
 	fi
-	for run in workers2 ladder; do
+	for run in workers2 ladder ht pkh; do
 		if [ "$(cat "$paperdir/sum.seq")" != "$(cat "$paperdir/sum.$run")" ]; then
 			echo "paper-smoke: $run solution differs from sequential" \
 				"(cksum $(cat "$paperdir/sum.$run") vs $(cat "$paperdir/sum.seq"))" >&2
 			exit 1
 		fi
 	done
-	echo "paper-smoke: -workers 2 and -hvn -hu -ovs solutions match sequential ($size bytes, cksum $crc)"
+	echo "paper-smoke: -workers 2, -hvn -hu -ovs, ht+hcd and pkh+hcd solutions match sequential lcd+hcd ($size bytes, cksum $crc)"
 fi
 
 echo "OK"
