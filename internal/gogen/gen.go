@@ -24,8 +24,8 @@ func Compile(o Options) (*cgen.Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := newGenerator(l)
-	if err := g.generate(pkgs); err != nil {
+	g := newGenerator(l.fset)
+	if err := g.generate(pkgs, l.warns); err != nil {
 		return nil, err
 	}
 	return g.unit, nil
@@ -43,8 +43,8 @@ func CompileSource(src string) (*cgen.Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := newGenerator(l)
-	if err := g.generate([]*loadedPackage{f}); err != nil {
+	g := newGenerator(l.fset)
+	if err := g.generate([]*loadedPackage{f}, l.warns); err != nil {
 		return nil, err
 	}
 	return g.unit, nil
@@ -64,10 +64,10 @@ type funcInfo struct {
 const noVar = ^uint32(0)
 
 type generator struct {
-	l    *loader
+	fset *token.FileSet
 	unit *cgen.Unit
 	prog *constraint.Program
-	info *types.Info
+	info *types.Info // the current package's type information
 
 	vars    map[types.Object]uint32
 	funcs   map[types.Object]*funcInfo
@@ -88,11 +88,10 @@ type generator struct {
 	maxIndirectArgs int
 }
 
-func newGenerator(l *loader) *generator {
+func newGenerator(fset *token.FileSet) *generator {
 	g := &generator{
-		l:    l,
+		fset: fset,
 		prog: constraint.NewProgram(),
-		info: l.info,
 		unit: &cgen.Unit{
 			Funcs:   map[string]uint32{},
 			Globals: map[string]uint32{},
@@ -123,11 +122,11 @@ func (g *generator) temp() uint32 {
 // pos renders a position as base.go:line:col, the object-naming scheme of
 // the spec (stable across machines: no directory components).
 func (g *generator) pos(p token.Pos) string {
-	position := g.l.fset.Position(p)
+	position := g.fset.Position(p)
 	return fmt.Sprintf("%s:%d:%d", filepath.Base(position.Filename), position.Line, position.Column)
 }
 
-func (g *generator) line(p token.Pos) int { return g.l.fset.Position(p).Line }
+func (g *generator) line(p token.Pos) int { return g.fset.Position(p).Line }
 
 // object allocates a fresh abstract heap object (new, make, composite
 // literal, append growth, conversion result).
@@ -137,15 +136,19 @@ func (g *generator) object(kind string, p token.Pos) uint32 {
 
 // generate runs the two passes over the target packages: declare every
 // package-level function and variable (so forward and cross-package
-// references resolve), then generate bodies and initializers.
-func (g *generator) generate(pkgs []*loadedPackage) error {
-	g.unit.Warnings = append(g.unit.Warnings, g.l.warns...)
+// references resolve), then generate bodies and initializers. The loader's
+// warnings come first in the Unit's list. Each package's syntax is looked
+// up in its own types.Info.
+func (g *generator) generate(pkgs []*loadedPackage, warns []string) error {
+	g.unit.Warnings = append(g.unit.Warnings, warns...)
 	for _, p := range pkgs {
+		g.info = p.info
 		for _, f := range p.files {
 			g.declareFile(p, f)
 		}
 	}
 	for _, p := range pkgs {
+		g.info = p.info
 		for _, f := range p.files {
 			g.genFile(p, f)
 		}

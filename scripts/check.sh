@@ -12,7 +12,9 @@
 #                gccheckmark smoke)
 #   serve      — stage 9 (end-to-end daemon gate)
 #   gofrontend — stage 10 (Go front end: golden/spec/e2e/differential
-#                tests by name, then antgo self-analysis end-to-end)
+#                tests by name, the concurrent loader's lockstep and
+#                determinism tests under -race, then antgo self-analysis
+#                end-to-end)
 #   async      — stage 11 (the parallel engine: named async tests and the
 #                parallel fuzz-seed replay under -race, then antsolve
 #                -workers 4 end-to-end with its solution diffed against
@@ -62,7 +64,10 @@
 #      query rate with zero 5xx responses;
 #  10. the Go front-end gate: the golden/spec-coverage suite, the
 #      self-analysis e2e test and the gogen differential-oracle cells by
-#      name (so a front-end regression is called out unmistakably), then
+#      name (so a front-end regression is called out unmistakably), the
+#      concurrent loader's lockstep tests against the sequential
+#      reference loader and its determinism test under the race
+#      detector, then
 #      antgo built and run on this repository end-to-end, failing unless
 #      it produces a non-empty call graph;
 #  11. the parallel-engine gate: every TestAsync* and TestParallel* unit
@@ -204,6 +209,9 @@ fi
 if want gofrontend; then
 	echo "==> go test -count=1 -run 'TestGolden|TestSpecCoverage|TestSelfAnalysis' ./internal/gogen"
 	go test -count=1 -run 'TestGolden|TestSpecCoverage|TestSelfAnalysis' ./internal/gogen
+
+	echo "==> go test -race -count=1 -run 'TestLoadLockstep|TestCompileDeterministic' ./internal/gogen"
+	go test -race -count=1 -run 'TestLoadLockstep|TestCompileDeterministic' ./internal/gogen
 
 	echo "==> go test -count=1 -run TestGogenPrograms ./internal/oracle"
 	go test -count=1 -run TestGogenPrograms ./internal/oracle
